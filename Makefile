@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check fuzz bench bench-smoke bench-compare explain-smoke chaos-smoke shard-smoke codec-smoke serve-smoke subs-smoke
+.PHONY: all build test race vet fmt check fuzz bench bench-smoke bench-compare perfbench-smoke explain-smoke chaos-smoke shard-smoke codec-smoke serve-smoke subs-smoke
 
 all: check
 
@@ -34,7 +34,15 @@ bench:
 # Quick micro-benchmark pass (compile + a short run of every
 # benchmark) — catches benchmarks that no longer build or crash.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 50ms ./internal/join/ ./internal/prefetch/ ./internal/page/
+	$(GO) test -run '^$$' -bench . -benchtime 50ms -benchmem ./internal/join/ ./internal/prefetch/ ./internal/page/ ./internal/partition/ ./internal/sampling/
+
+# Layered benchmark smoke: the perfbench module's own tests (it is a
+# separate module, so the root `go test ./...` does not reach them),
+# then every workload for a few seconds — which fails on any output
+# mismatch against its references.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+	bash perfbench/run.sh --workload all --seed 1 --seconds 3 --trace 0
 
 # Scan-versus-sweep kernel comparison: Go micro-benchmarks for both
 # kernels plus the vtbench kernel figure, which differentially verifies

@@ -12,14 +12,19 @@ import (
 // a partitioning of the valid-time line from the timestamps of sampled
 // tuples so that each partition covers approximately the same number of
 // tuples. Cut chronons are equi-depth quantiles of the multiset of
-// chronons covered by the sample (computed exactly by a sweep — see
-// sampling.CoverageQuantiles). Fewer than numPartitions partitions may
-// result when the sample cannot support that many distinct boundaries.
+// chronons covered by the sample (computed exactly from the sorted
+// endpoints — see sampling.CoverageIndex). Fewer than numPartitions
+// partitions may result when the sample cannot support that many
+// distinct boundaries.
 func ChooseIntervals(sampleIntervals []chronon.Interval, numPartitions int) (Partitioning, error) {
+	return chooseIntervals(sampling.NewCoverageIndex(sampleIntervals), numPartitions)
+}
+
+func chooseIntervals(idx *sampling.CoverageIndex, numPartitions int) (Partitioning, error) {
 	if numPartitions < 1 {
 		return Partitioning{}, fmt.Errorf("partition: numPartitions must be >= 1, got %d", numPartitions)
 	}
-	cuts, err := sampling.CoverageQuantiles(sampleIntervals, numPartitions)
+	cuts, err := idx.Quantiles(numPartitions)
 	if err != nil {
 		return Partitioning{}, err
 	}
@@ -46,23 +51,25 @@ func ChooseIntervals(sampleIntervals []chronon.Interval, numPartitions int) (Par
 // size in pages (fractional; callers round up when budgeting).
 func EstimateCacheSizes(sampleIntervals []chronon.Interval, sampleFraction float64,
 	part Partitioning, tuplesPerPage float64) ([]float64, error) {
+	return estimateCacheSizes(sampling.NewCoverageIndex(sampleIntervals), sampleFraction, part, tuplesPerPage)
+}
+
+// estimateCacheSizes counts the sample in partition i's cache as the
+// tuples straddling cut i: they start at or before the cut and end
+// after it, so they overlap partition i and a later one. The last
+// partition has no successor and needs no cache.
+func estimateCacheSizes(idx *sampling.CoverageIndex, sampleFraction float64,
+	part Partitioning, tuplesPerPage float64) ([]float64, error) {
 	if tuplesPerPage <= 0 {
 		return nil, fmt.Errorf("partition: tuplesPerPage must be positive, got %g", tuplesPerPage)
-	}
-	counts := make([]int64, part.N())
-	for _, iv := range sampleIntervals {
-		first, last := part.Range(iv)
-		for i := first; i < last; i++ {
-			counts[i]++
-		}
 	}
 	out := make([]float64, part.N())
 	if sampleFraction <= 0 {
 		// No sample: no basis for estimation; report zero cache.
 		return out, nil
 	}
-	for i, c := range counts {
-		estTuples := float64(c) / sampleFraction
+	for i, c := range part.cuts {
+		estTuples := float64(idx.Straddling(c)) / sampleFraction
 		out[i] = estTuples / tuplesPerPage
 	}
 	return out, nil

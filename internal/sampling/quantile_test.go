@@ -169,9 +169,9 @@ func TestCoverageQuantilesSortedOutput(t *testing.T) {
 }
 
 // Ongoing intervals must not overflow the coverage computation: their
-// ends are clamped to the sampling horizon (the largest finite
-// endpoint), so the quantiles equal those of the explicitly clamped
-// set and stay inside the data-dense region.
+// ends are clamped to the sampling horizon (here the largest finite
+// end, which no ongoing start passes), so the quantiles equal those of
+// the explicitly clamped set and stay inside the data-dense region.
 func TestCoverageQuantilesOngoing(t *testing.T) {
 	in := []chronon.Interval{
 		chronon.New(0, 99),
