@@ -15,6 +15,7 @@ race:
 
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # Fails if any file needs reformatting, and names the offenders.
 fmt:

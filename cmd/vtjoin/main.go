@@ -239,6 +239,7 @@ func validateTrace(path string, joinIO vtjoin.IOCounters) error {
 		RandWrites: joinIO.RandomWrites,
 		SeqWrites:  joinIO.SequentialWrites,
 		Retries:    joinIO.Retries,
+		BytesMoved: joinIO.BytesMoved,
 	}
 	// Sharded runs adopt per-shard subtrees recorded against private
 	// devices; their totals are excluded so the comparison stays against

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,26 +8,7 @@ import (
 
 	"vtjoin/internal/cost"
 	"vtjoin/internal/join"
-	"vtjoin/internal/relation"
 )
-
-// runSortMergeKernel and runPartitionKernel are the kernel-pinned
-// variants of the figure runners.
-func runSortMergeKernel(ctx context.Context, r, s *relation.Relation, memoryPages int, k join.Kernel) (*cost.Report, *join.SortMergeStats, error) {
-	var sink relation.CountSink
-	return join.SortMerge(r, s, &sink, join.SortMergeConfig{Ctx: ctx, MemoryPages: memoryPages, Kernel: k})
-}
-
-func runPartitionKernel(ctx context.Context, r, s *relation.Relation, memoryPages int, w cost.Weights, seed int64, k join.Kernel) (*cost.Report, *join.PartitionStats, error) {
-	var sink relation.CountSink
-	return join.Partition(r, s, &sink, join.PartitionConfig{
-		Ctx:         ctx,
-		MemoryPages: memoryPages,
-		Weights:     w,
-		Rng:         rand.New(rand.NewSource(seed)),
-		Kernel:      k,
-	})
-}
 
 // KernelBenchSpecs are the in-memory matching microbenchmarks of the
 // Scan-versus-Sweep kernel comparison, scaled like the figures. The
@@ -112,7 +92,7 @@ func RunKernelPhases(p Params) ([]AlgoPhaseTiming, error) {
 		if err != nil {
 			return nil, err
 		}
-		smRep, _, err := runSortMergeKernel(p.Ctx, r, s, memoryPages, kernel)
+		smRep, err := runCounted(join.AlgorithmSortMerge, AlgoSortMerge, r, s, join.Config{Ctx: p.Ctx, MemoryPages: memoryPages, Kernel: kernel}, false)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +102,10 @@ func RunKernelPhases(p Params) ([]AlgoPhaseTiming, error) {
 				IO: ph.Counters.Total(), Wall: ph.Wall, CPU: ph.CPU,
 			})
 		}
-		pjRep, _, err := runPartitionKernel(p.Ctx, r, s, memoryPages, cost.Ratio(5), p.Seed, kernel)
+		pjRep, err := runCounted(join.AlgorithmPartition, AlgoPartition, r, s, join.Config{
+			Ctx: p.Ctx, MemoryPages: memoryPages, Weights: cost.Ratio(5),
+			Rng: rand.New(rand.NewSource(p.Seed)), Kernel: kernel,
+		}, false)
 		if err != nil {
 			return nil, err
 		}

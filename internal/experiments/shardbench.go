@@ -151,7 +151,7 @@ func RunFigureShards(p Params, maxShards int) ([]ShardRow, error) {
 	var rows []ShardRow
 	var refSink ChecksumSink
 	wallStart, cpuStart := time.Now(), cost.ProcessCPUTime()
-	refRep, _, err := join.Partition(r, s, &refSink, join.PartitionConfig{
+	refRep, err := join.Run(join.AlgorithmPartition, r, s, &refSink, join.Config{
 		Ctx:         p.Ctx,
 		MemoryPages: memoryPages,
 		Weights:     cost.Ratio(5),

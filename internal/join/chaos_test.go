@@ -66,17 +66,17 @@ func runChaos(ctx context.Context, cc chaosCombo, r, s *relation.Relation, tr *t
 	var err error
 	switch cc.algo {
 	case "nested-loop":
-		_, err = NestedLoop(r, s, &sink, NestedLoopConfig{
+		_, err = NestedLoop(r, s, &sink, Config{
 			Ctx: ctx, MemoryPages: memoryPages,
 			Sequential: cc.sequential, Kernel: cc.kernel, Tracer: tr,
 		})
 	case "sort-merge":
-		_, _, err = SortMerge(r, s, &sink, SortMergeConfig{
+		_, _, err = SortMerge(r, s, &sink, Config{
 			Ctx: ctx, MemoryPages: memoryPages,
 			Sequential: cc.sequential, Kernel: cc.kernel, Tracer: tr,
 		})
 	case "partition":
-		_, _, err = Partition(r, s, &sink, PartitionConfig{
+		_, _, err = Partition(r, s, &sink, Config{
 			Ctx: ctx, MemoryPages: memoryPages,
 			Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(99)),
 			Sequential: cc.sequential, Kernel: cc.kernel, Tracer: tr,

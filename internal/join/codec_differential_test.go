@@ -59,17 +59,17 @@ func runCodecCell(t *testing.T, format page.Format, algo string, kernel Kernel, 
 	var err error
 	switch algo {
 	case "nested-loop":
-		rep, err = NestedLoop(r, s, &sink, NestedLoopConfig{
+		rep, err = NestedLoop(r, s, &sink, Config{
 			MemoryPages: memoryPages, Sequential: true,
 			TimePredicate: pred, Kernel: kernel,
 		})
 	case "sort-merge":
-		rep, _, err = SortMerge(r, s, &sink, SortMergeConfig{
+		rep, _, err = SortMerge(r, s, &sink, Config{
 			MemoryPages: memoryPages, Sequential: true,
 			TimePredicate: pred, Kernel: kernel,
 		})
 	case "partition":
-		rep, _, err = Partition(r, s, &sink, PartitionConfig{
+		rep, _, err = Partition(r, s, &sink, Config{
 			MemoryPages: memoryPages, Sequential: true,
 			Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(77)),
 			TimePredicate: pred, Kernel: kernel,

@@ -46,7 +46,7 @@ func TestConcurrentEngineMatchesSequential(t *testing.T) {
 		var sink relation.CollectSink
 		switch algo {
 		case "partition":
-			_, _, err := Partition(r, s, &sink, PartitionConfig{
+			_, _, err := Partition(r, s, &sink, Config{
 				MemoryPages: 16,
 				Weights:     cost.Ratio(5),
 				Rng:         rand.New(rand.NewSource(3)),
@@ -56,7 +56,7 @@ func TestConcurrentEngineMatchesSequential(t *testing.T) {
 				t.Fatalf("%s sequential=%v: %v", algo, sequential, err)
 			}
 		case "nested-loop":
-			_, err := NestedLoop(r, s, &sink, NestedLoopConfig{
+			_, err := NestedLoop(r, s, &sink, Config{
 				MemoryPages: 16,
 				Sequential:  sequential,
 			})
@@ -64,7 +64,7 @@ func TestConcurrentEngineMatchesSequential(t *testing.T) {
 				t.Fatalf("%s sequential=%v: %v", algo, sequential, err)
 			}
 		case "sort-merge":
-			_, _, err := SortMerge(r, s, &sink, SortMergeConfig{
+			_, _, err := SortMerge(r, s, &sink, Config{
 				MemoryPages: 16,
 				Sequential:  sequential,
 			})

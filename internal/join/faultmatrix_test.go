@@ -20,11 +20,11 @@ func runAlgorithm(algo string, r, s *relation.Relation, memoryPages int) ([]tupl
 	var err error
 	switch algo {
 	case "nested-loop":
-		_, err = NestedLoop(r, s, &sink, NestedLoopConfig{MemoryPages: memoryPages})
+		_, err = NestedLoop(r, s, &sink, Config{MemoryPages: memoryPages})
 	case "sort-merge":
-		_, _, err = SortMerge(r, s, &sink, SortMergeConfig{MemoryPages: memoryPages})
+		_, _, err = SortMerge(r, s, &sink, Config{MemoryPages: memoryPages})
 	case "partition":
-		_, _, err = Partition(r, s, &sink, PartitionConfig{
+		_, _, err = Partition(r, s, &sink, Config{
 			MemoryPages: memoryPages,
 			Weights:     cost.Ratio(5),
 			Rng:         rand.New(rand.NewSource(99)),

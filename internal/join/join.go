@@ -12,8 +12,8 @@
 //     cache migration (Figure 9 / Appendix A.1).
 //
 // All disk-based algorithms take their inputs on the same simulated
-// device, stay within an explicit page budget, and report per-phase
-// I/O through cost.Report.
+// device, stay within an explicit page budget, share one Config, and
+// report per-phase I/O through cost.Report. Run chooses among them.
 package join
 
 import (
@@ -21,20 +21,10 @@ import (
 	"sort"
 
 	"vtjoin/internal/chronon"
-	"vtjoin/internal/relation"
 	"vtjoin/internal/schema"
 	"vtjoin/internal/tuple"
 	"vtjoin/internal/value"
 )
-
-// planFor derives the natural-join plan for two relations and checks
-// they live on the same device.
-func planFor(r, s *relation.Relation) (*schema.JoinPlan, error) {
-	if r.Disk() != s.Disk() {
-		return nil, fmt.Errorf("join: input relations live on different devices")
-	}
-	return schema.PlanNaturalJoin(r.Schema(), s.Schema())
-}
 
 // Predicate is a valid-time join predicate: a set of Allen relations
 // that must hold between the outer and inner timestamps. The zero

@@ -98,19 +98,19 @@ func runAll(t *testing.T, rTuples, sTuples []tuple.Tuple, memoryPages int, seed 
 	want := Reference(plan, rTuples, sTuples)
 
 	var nl relation.CollectSink
-	if _, err := NestedLoop(r, s, &nl, NestedLoopConfig{MemoryPages: memoryPages}); err != nil {
+	if _, err := NestedLoop(r, s, &nl, Config{MemoryPages: memoryPages}); err != nil {
 		t.Fatalf("nested loop: %v", err)
 	}
 	assertSameResult(t, "nested-loop", nl.Tuples, want)
 
 	var sm relation.CollectSink
-	if _, _, err := SortMerge(r, s, &sm, SortMergeConfig{MemoryPages: memoryPages}); err != nil {
+	if _, _, err := SortMerge(r, s, &sm, Config{MemoryPages: memoryPages}); err != nil {
 		t.Fatalf("sort-merge: %v", err)
 	}
 	assertSameResult(t, "sort-merge", sm.Tuples, want)
 
 	var pj relation.CollectSink
-	if _, _, err := Partition(r, s, &pj, PartitionConfig{
+	if _, _, err := Partition(r, s, &pj, Config{
 		MemoryPages: memoryPages,
 		Weights:     cost.Ratio(5),
 		Rng:         rand.New(rand.NewSource(seed)),
@@ -265,7 +265,7 @@ func TestJoinsRejectMismatchedDevices(t *testing.T) {
 	r := relation.Create(d1, empSchema)
 	s := relation.Create(d2, deptSchema)
 	var sink relation.CountSink
-	if _, err := NestedLoop(r, s, &sink, NestedLoopConfig{MemoryPages: 5}); err == nil {
+	if _, err := NestedLoop(r, s, &sink, Config{MemoryPages: 5}); err == nil {
 		t.Fatal("cross-device join accepted")
 	}
 }
@@ -275,16 +275,16 @@ func TestJoinsValidateMemory(t *testing.T) {
 	r := relation.Create(d, empSchema)
 	s := relation.Create(d, deptSchema)
 	var sink relation.CountSink
-	if _, err := NestedLoop(r, s, &sink, NestedLoopConfig{MemoryPages: 2}); err == nil {
+	if _, err := NestedLoop(r, s, &sink, Config{MemoryPages: 2}); err == nil {
 		t.Fatal("nested loop accepted 2 pages")
 	}
-	if _, _, err := SortMerge(r, s, &sink, SortMergeConfig{MemoryPages: 3}); err == nil {
+	if _, _, err := SortMerge(r, s, &sink, Config{MemoryPages: 3}); err == nil {
 		t.Fatal("sort-merge accepted 3 pages")
 	}
-	if _, _, err := Partition(r, s, &sink, PartitionConfig{MemoryPages: 3}); err == nil {
+	if _, _, err := Partition(r, s, &sink, Config{MemoryPages: 3}); err == nil {
 		t.Fatal("partition join accepted 3 pages")
 	}
-	if _, _, err := Partition(r, s, &sink, PartitionConfig{MemoryPages: 8}); err == nil {
+	if _, _, err := Partition(r, s, &sink, Config{MemoryPages: 8}); err == nil {
 		t.Fatal("partition join accepted nil rng without partitioning")
 	}
 }

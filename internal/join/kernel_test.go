@@ -161,7 +161,7 @@ func TestKernelsIdenticalResultsAndIO(t *testing.T) {
 		var sink relation.CollectSink
 		switch algo {
 		case "partition":
-			_, _, err := Partition(r, s, &sink, PartitionConfig{
+			_, _, err := Partition(r, s, &sink, Config{
 				MemoryPages: 16,
 				Weights:     cost.Ratio(5),
 				Rng:         rand.New(rand.NewSource(3)),
@@ -171,7 +171,7 @@ func TestKernelsIdenticalResultsAndIO(t *testing.T) {
 				t.Fatalf("%s kernel=%v: %v", algo, k, err)
 			}
 		case "nested-loop":
-			_, err := NestedLoop(r, s, &sink, NestedLoopConfig{
+			_, err := NestedLoop(r, s, &sink, Config{
 				MemoryPages: 16,
 				Kernel:      k,
 			})
@@ -179,7 +179,7 @@ func TestKernelsIdenticalResultsAndIO(t *testing.T) {
 				t.Fatalf("%s kernel=%v: %v", algo, k, err)
 			}
 		case "sort-merge":
-			_, _, err := SortMerge(r, s, &sink, SortMergeConfig{
+			_, _, err := SortMerge(r, s, &sink, Config{
 				MemoryPages: 16,
 				Kernel:      k,
 			})

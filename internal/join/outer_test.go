@@ -63,14 +63,14 @@ func runLeftOuter(t *testing.T, algo string, rT, sT []tuple.Tuple, memory int, s
 	var err error
 	switch algo {
 	case "partition":
-		_, _, err = Partition(r, s, &matches, PartitionConfig{
+		_, _, err = Partition(r, s, &matches, Config{
 			MemoryPages:   memory,
 			Weights:       cost.Ratio(5),
 			Rng:           rand.New(rand.NewSource(seed)),
 			LeftFragments: &frags,
 		})
 	case "nestedloop":
-		_, err = NestedLoop(r, s, &matches, NestedLoopConfig{
+		_, err = NestedLoop(r, s, &matches, Config{
 			MemoryPages:   memory,
 			LeftFragments: &frags,
 		})
@@ -161,7 +161,7 @@ func TestLeftOuterFragmentsPartitionBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var matches, frags relation.CollectSink
-	if _, _, err := Partition(r, s, &matches, PartitionConfig{
+	if _, _, err := Partition(r, s, &matches, Config{
 		MemoryPages:   6,
 		Partitioning:  &parting,
 		LeftFragments: &frags,
@@ -188,7 +188,7 @@ func TestLeftOuterUnderPredicate(t *testing.T) {
 	r := load(t, d, empSchema, rT)
 	s := load(t, d, deptSchema, sT)
 	var matches, frags relation.CollectSink
-	if _, _, err := Partition(r, s, &matches, PartitionConfig{
+	if _, _, err := Partition(r, s, &matches, Config{
 		MemoryPages:   6,
 		Weights:       cost.Ratio(5),
 		Rng:           rand.New(rand.NewSource(14)),

@@ -19,13 +19,13 @@ func TestPredicateValidation(t *testing.T) {
 	s := relation.Create(d, deptSchema)
 	var sink relation.CountSink
 	bad := chronon.MaskOf(chronon.RelBefore)
-	if _, err := NestedLoop(r, s, &sink, NestedLoopConfig{MemoryPages: 5, TimePredicate: bad}); err == nil {
+	if _, err := NestedLoop(r, s, &sink, Config{MemoryPages: 5, TimePredicate: bad}); err == nil {
 		t.Fatal("nested loop accepted a non-intersecting predicate")
 	}
-	if _, _, err := SortMerge(r, s, &sink, SortMergeConfig{MemoryPages: 5, TimePredicate: bad}); err == nil {
+	if _, _, err := SortMerge(r, s, &sink, Config{MemoryPages: 5, TimePredicate: bad}); err == nil {
 		t.Fatal("sort-merge accepted a non-intersecting predicate")
 	}
-	if _, _, err := Partition(r, s, &sink, PartitionConfig{
+	if _, _, err := Partition(r, s, &sink, Config{
 		MemoryPages: 5, Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(1)), TimePredicate: bad,
 	}); err == nil {
 		t.Fatal("partition accepted a non-intersecting predicate")
@@ -56,15 +56,15 @@ func TestAllAlgorithmsAgreeUnderPredicates(t *testing.T) {
 			s := load(t, d, deptSchema, sT)
 
 			var nl, sm, pj relation.CollectSink
-			if _, err := NestedLoop(r, s, &nl, NestedLoopConfig{MemoryPages: 6, TimePredicate: pred}); err != nil {
+			if _, err := NestedLoop(r, s, &nl, Config{MemoryPages: 6, TimePredicate: pred}); err != nil {
 				t.Fatal(err)
 			}
 			assertSameResult(t, "nested-loop/"+name, nl.Tuples, want)
-			if _, _, err := SortMerge(r, s, &sm, SortMergeConfig{MemoryPages: 6, TimePredicate: pred}); err != nil {
+			if _, _, err := SortMerge(r, s, &sm, Config{MemoryPages: 6, TimePredicate: pred}); err != nil {
 				t.Fatal(err)
 			}
 			assertSameResult(t, "sort-merge/"+name, sm.Tuples, want)
-			if _, _, err := Partition(r, s, &pj, PartitionConfig{
+			if _, _, err := Partition(r, s, &pj, Config{
 				MemoryPages: 6, Weights: cost.Ratio(5),
 				Rng: rand.New(rand.NewSource(9)), TimePredicate: pred,
 			}); err != nil {

@@ -238,13 +238,13 @@ func TestDiskAlgorithmsAgreeProperty(t *testing.T) {
 		}
 
 		var nl, sm, pj relation.CollectSink
-		if _, err := NestedLoop(r, s, &nl, NestedLoopConfig{MemoryPages: mem}); err != nil {
+		if _, err := NestedLoop(r, s, &nl, Config{MemoryPages: mem}); err != nil {
 			return false
 		}
-		if _, _, err := SortMerge(r, s, &sm, SortMergeConfig{MemoryPages: mem}); err != nil {
+		if _, _, err := SortMerge(r, s, &sm, Config{MemoryPages: mem}); err != nil {
 			return false
 		}
-		if _, _, err := Partition(r, s, &pj, PartitionConfig{
+		if _, _, err := Partition(r, s, &pj, Config{
 			MemoryPages: mem, Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(seed)),
 		}); err != nil {
 			return false

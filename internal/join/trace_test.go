@@ -36,7 +36,7 @@ func runTraced(t *testing.T, algo string, sequential bool, tr *trace.Tracer,
 	var err error
 	switch algo {
 	case "partition":
-		_, _, err = Partition(r, s, &sink, PartitionConfig{
+		_, _, err = Partition(r, s, &sink, Config{
 			MemoryPages: 32,
 			Weights:     cost.Ratio(5),
 			Rng:         rand.New(rand.NewSource(7)),
@@ -44,13 +44,13 @@ func runTraced(t *testing.T, algo string, sequential bool, tr *trace.Tracer,
 			Tracer:      tr,
 		})
 	case "sort-merge":
-		_, _, err = SortMerge(r, s, &sink, SortMergeConfig{
+		_, _, err = SortMerge(r, s, &sink, Config{
 			MemoryPages: 32,
 			Sequential:  sequential,
 			Tracer:      tr,
 		})
 	case "nested-loop":
-		_, err = NestedLoop(r, s, &sink, NestedLoopConfig{
+		_, err = NestedLoop(r, s, &sink, Config{
 			MemoryPages: 32,
 			Sequential:  sequential,
 			Tracer:      tr,

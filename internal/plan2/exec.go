@@ -195,80 +195,42 @@ func joinIter(cfg Config, n *JoinNode) *Iterator {
 		cancel: cancel,
 		clean:  closers(dropTemp(left, ltemp), dropTemp(right, rtemp)),
 	}
+	memory := cfg.MemoryPages
+	if n.Memory > 0 {
+		memory = n.Memory
+	}
 	go func() {
 		err := func() (err error) {
 			defer execctx.RecoverTo("exec: join", &err)
-			return dispatchJoin(ctx, cfg, n, left, right, &chanSink{ctx: ctx, ch: st.ch})
+			sink := &chanSink{ctx: ctx, ch: st.ch}
+			if n.Shards > 1 {
+				_, _, err = shard.Join(n.Algorithm, left, right, sink, shard.Config{
+					Ctx:           ctx,
+					Shards:        n.Shards,
+					MemoryPages:   memory,
+					Weights:       cost.Ratio(cfg.RandomCost),
+					Seed:          cfg.Seed,
+					TimePredicate: n.Mask,
+					Kernel:        n.Kernel,
+					Tracer:        cfg.Tracer,
+				})
+				return err
+			}
+			_, err = join.Run(n.Algorithm, left, right, sink, join.Config{
+				Ctx:           ctx,
+				MemoryPages:   memory,
+				Weights:       cost.Ratio(cfg.RandomCost),
+				Rng:           rand.New(rand.NewSource(cfg.Seed)),
+				TimePredicate: n.Mask,
+				Kernel:        n.Kernel,
+				Tracer:        cfg.Tracer,
+			})
+			return err
 		}()
 		close(st.ch)
 		st.errc <- err
 	}()
 	return st.iterator()
-}
-
-// dispatchJoin drives the existing join machinery for one bound join
-// node.
-func dispatchJoin(ctx context.Context, cfg Config, n *JoinNode, left, right *relation.Relation, sink relation.Sink) error {
-	memory := cfg.MemoryPages
-	if n.Memory > 0 {
-		memory = n.Memory
-	}
-	if n.Shards > 1 {
-		var salgo shard.Algorithm
-		switch n.Algorithm {
-		case AlgoPartition:
-			salgo = shard.AlgorithmPartition
-		case AlgoSortMerge:
-			salgo = shard.AlgorithmSortMerge
-		case AlgoNestedLoop:
-			salgo = shard.AlgorithmNestedLoop
-		default:
-			return fmt.Errorf("plan2: unknown algorithm %d", n.Algorithm)
-		}
-		_, _, err := shard.Join(salgo, left, right, sink, shard.Config{
-			Ctx:           ctx,
-			Shards:        n.Shards,
-			MemoryPages:   memory,
-			Weights:       cost.Ratio(cfg.RandomCost),
-			Seed:          cfg.Seed,
-			TimePredicate: n.Mask,
-			Kernel:        n.Kernel,
-			Tracer:        cfg.Tracer,
-		})
-		return err
-	}
-	switch n.Algorithm {
-	case AlgoPartition:
-		_, _, err := join.Partition(left, right, sink, join.PartitionConfig{
-			Ctx:           ctx,
-			MemoryPages:   memory,
-			Weights:       cost.Ratio(cfg.RandomCost),
-			Rng:           rand.New(rand.NewSource(cfg.Seed)),
-			TimePredicate: n.Mask,
-			Kernel:        n.Kernel,
-			Tracer:        cfg.Tracer,
-		})
-		return err
-	case AlgoSortMerge:
-		_, _, err := join.SortMerge(left, right, sink, join.SortMergeConfig{
-			Ctx:           ctx,
-			MemoryPages:   memory,
-			TimePredicate: n.Mask,
-			Kernel:        n.Kernel,
-			Tracer:        cfg.Tracer,
-		})
-		return err
-	case AlgoNestedLoop:
-		_, err := join.NestedLoop(left, right, sink, join.NestedLoopConfig{
-			Ctx:           ctx,
-			MemoryPages:   memory,
-			TimePredicate: n.Mask,
-			Kernel:        n.Kernel,
-			Tracer:        cfg.Tracer,
-		})
-		return err
-	}
-	return fmt.Errorf("plan2: unknown algorithm %d", n.Algorithm)
 }
 
 // chanSink bridges the push-style join sink onto the pull-style

@@ -14,6 +14,7 @@ package plan2
 
 import (
 	"fmt"
+	"slices"
 
 	"vtjoin/internal/chronon"
 	"vtjoin/internal/join"
@@ -30,28 +31,16 @@ type Catalog interface {
 	Lookup(name string) (*relation.Relation, error)
 }
 
-// Algorithm selects a join evaluation strategy.
-type Algorithm int
-
-// The join algorithms the language's "using" hint selects.
-const (
-	AlgoPartition Algorithm = iota
-	AlgoSortMerge
-	AlgoNestedLoop
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoPartition:
-		return "partition"
-	case AlgoSortMerge:
-		return "sortmerge"
-	case AlgoNestedLoop:
-		return "nestedloop"
-	}
-	return "invalid"
+// algorithmHints spells each join algorithm as the language's "using"
+// hint names it.
+var algorithmHints = [...]string{
+	join.AlgorithmPartition:  "partition",
+	join.AlgorithmSortMerge:  "sortmerge",
+	join.AlgorithmNestedLoop: "nestedloop",
 }
+
+// AlgorithmHint returns the "using" hint that selects a.
+func AlgorithmHint(a join.Algorithm) string { return algorithmHints[a] }
 
 // AggOp selects a per-chronon aggregate.
 type AggOp int
@@ -118,7 +107,7 @@ func (n *ProjectNode) Inputs() []Node { return []Node{n.Input} }
 type JoinNode struct {
 	Left, Right Node
 	Plan        *schema.JoinPlan
-	Algorithm   Algorithm
+	Algorithm   join.Algorithm
 	Kernel      join.Kernel
 	Mask        chronon.Mask
 	// Shards > 1 time-shards the join across private devices.
@@ -265,16 +254,13 @@ func (b *binder) stage(input Node, st query.Stage) (Node, error) {
 			Shards: s.Hints.Shards,
 			Memory: s.Hints.Memory,
 		}
-		switch s.Hints.Algorithm {
-		case "", "partition":
-			n.Algorithm = AlgoPartition
-		case "sortmerge":
-			n.Algorithm = AlgoSortMerge
-		case "nestedloop":
-			n.Algorithm = AlgoNestedLoop
-		default:
-			return nil, &query.Error{Line: s.Line, Col: s.Col,
-				Msg: fmt.Sprintf("join: unknown algorithm %q", s.Hints.Algorithm)}
+		if h := s.Hints.Algorithm; h != "" {
+			i := slices.Index(algorithmHints[:], h)
+			if i < 0 {
+				return nil, &query.Error{Line: s.Line, Col: s.Col,
+					Msg: fmt.Sprintf("join: unknown algorithm %q", h)}
+			}
+			n.Algorithm = join.Algorithm(i)
 		}
 		if s.Hints.Kernel == "scan" {
 			n.Kernel = join.KernelScan

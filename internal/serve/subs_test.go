@@ -638,6 +638,32 @@ func TestSubscribeRejectsBadShapes(t *testing.T) {
 	}
 }
 
+// TestSubscribeRejectionNamesHint: rejecting a non-partition join
+// names the query hint to drop, spelled as the language spells it.
+func TestSubscribeRejectionNamesHint(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	for _, hint := range []string{"sortmerge", "nestedloop"} {
+		q := "scan r | join scan s using " + hint
+		resp, err := http.Post(ts.URL+"/subscribe?q="+url.QueryEscape(q), "text/plain", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("subscriptions maintain the partition algorithm; drop the %q hint", hint)
+		if resp.StatusCode != http.StatusBadRequest || body.Error != want {
+			t.Errorf("subscribe %q: status %d, error %q; want 400 with %q", q, resp.StatusCode, body.Error, want)
+		}
+	}
+}
+
 // TestAppendValidation: appends are atomic with respect to validation
 // (a bad batch changes nothing), target relations must exist, and a
 // valid append is immediately visible to queries without invalidating

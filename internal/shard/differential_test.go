@@ -84,7 +84,7 @@ func TestAdversarialReplicationCount(t *testing.T) {
 	rTuples := spanning(rng, 5, n, 1, 4000)
 	sTuples := spanning(rng, 5, n, 2, 4000)
 
-	_, stats := runSharded(t, AlgorithmSortMerge, rTuples, sTuples, Config{
+	_, stats := runSharded(t, join.AlgorithmSortMerge, rTuples, sTuples, Config{
 		Shards: 4, MemoryPages: 32, Seed: 21,
 	})
 	k := stats.Shards
@@ -197,17 +197,17 @@ func TestPerShardIOMatchesComposedReference(t *testing.T) {
 					bs := &boundSink{next: res.NewBuilder(), bounds: bounds, shard: j}
 
 					switch algo {
-					case AlgorithmNestedLoop:
-						_, err = join.NestedLoop(r, s, bs, join.NestedLoopConfig{
+					case join.AlgorithmNestedLoop:
+						_, err = join.NestedLoop(r, s, bs, join.Config{
 							MemoryPages: perShard, Sequential: true, Kernel: kernel,
 						})
-					case AlgorithmSortMerge:
-						_, _, err = join.SortMerge(r, s, bs, join.SortMergeConfig{
+					case join.AlgorithmSortMerge:
+						_, _, err = join.SortMerge(r, s, bs, join.Config{
 							MemoryPages: perShard, Sequential: true, Kernel: kernel,
 						})
-					case AlgorithmPartition:
+					case join.AlgorithmPartition:
 						local := stats.LocalParts[j]
-						_, _, err = join.Partition(r, s, bs, join.PartitionConfig{
+						_, _, err = join.Partition(r, s, bs, join.Config{
 							MemoryPages: perShard, Weights: cost.Ratio(5),
 							Partitioning: &local, Sequential: true, Kernel: kernel,
 						})

@@ -46,28 +46,9 @@ import (
 	"vtjoin/internal/trace"
 )
 
-// Algorithm selects the join algorithm every shard pipeline runs.
-type Algorithm int
-
-// The available per-shard algorithms.
-const (
-	AlgorithmPartition Algorithm = iota
-	AlgorithmSortMerge
-	AlgorithmNestedLoop
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgorithmPartition:
-		return "partition"
-	case AlgorithmSortMerge:
-		return "sort-merge"
-	case AlgorithmNestedLoop:
-		return "nested-loop"
-	}
-	return "invalid"
-}
+// AlgorithmPartition is kept for perfbench, which compiles against
+// this name.
+const AlgorithmPartition = join.AlgorithmPartition
 
 // Config configures a sharded join execution.
 type Config struct {
@@ -150,10 +131,8 @@ type Stats struct {
 // same device) time-sharded across private per-shard devices, streaming
 // the merged result to sink in deterministic order. The returned report
 // aggregates I/O over the global and all shard devices by phase.
-func Join(algo Algorithm, r, s *relation.Relation, sink relation.Sink, cfg Config) (*cost.Report, *Stats, error) {
-	switch algo {
-	case AlgorithmPartition, AlgorithmSortMerge, AlgorithmNestedLoop:
-	default:
+func Join(algo join.Algorithm, r, s *relation.Relation, sink relation.Sink, cfg Config) (*cost.Report, *Stats, error) {
+	if !algo.Valid() {
 		return nil, nil, fmt.Errorf("shard: unknown algorithm %d", algo)
 	}
 	if r.Disk() != s.Disk() {
@@ -355,7 +334,7 @@ func Join(algo Algorithm, r, s *relation.Relation, sink relation.Sink, cfg Confi
 }
 
 // runShard executes one shard's pipeline against its private device.
-func runShard(algo Algorithm, j int, r, s, res *relation.Relation, dev *disk.Disk,
+func runShard(algo join.Algorithm, j int, r, s, res *relation.Relation, dev *disk.Disk,
 	bounds partition.Partitioning, local *partition.Partitioning, memory int,
 	cfg Config, spans []*trace.Span, stats *Stats) error {
 	var shtr *trace.Tracer
@@ -365,25 +344,11 @@ func runShard(algo Algorithm, j int, r, s, res *relation.Relation, dev *disk.Dis
 	base := dev.Counters()
 	bs := &boundSink{next: res.NewBuilder(), bounds: bounds, shard: j}
 
-	var err error
-	switch algo {
-	case AlgorithmNestedLoop:
-		_, err = join.NestedLoop(r, s, bs, join.NestedLoopConfig{
-			Ctx: cfg.Ctx, MemoryPages: memory, TimePredicate: cfg.TimePredicate,
-			Sequential: cfg.Sequential, Kernel: cfg.Kernel, Tracer: shtr,
-		})
-	case AlgorithmSortMerge:
-		_, _, err = join.SortMerge(r, s, bs, join.SortMergeConfig{
-			Ctx: cfg.Ctx, MemoryPages: memory, TimePredicate: cfg.TimePredicate,
-			Sequential: cfg.Sequential, Kernel: cfg.Kernel, Tracer: shtr,
-		})
-	case AlgorithmPartition:
-		_, _, err = join.Partition(r, s, bs, join.PartitionConfig{
-			Ctx: cfg.Ctx, MemoryPages: memory, Weights: cfg.Weights,
-			Partitioning: local, TimePredicate: cfg.TimePredicate,
-			Sequential: cfg.Sequential, Kernel: cfg.Kernel, Tracer: shtr,
-		})
-	}
+	_, err := join.Run(algo, r, s, bs, join.Config{
+		Ctx: cfg.Ctx, MemoryPages: memory, Weights: cfg.Weights,
+		Partitioning: local, TimePredicate: cfg.TimePredicate,
+		Sequential: cfg.Sequential, Kernel: cfg.Kernel, Tracer: shtr,
+	})
 	span, auditErr := shtr.Finish()
 	spans[j] = span
 	stats.PerShard[j].IO = dev.Counters().Sub(base)

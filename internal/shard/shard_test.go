@@ -27,7 +27,7 @@ var (
 	)
 )
 
-var algorithms = []Algorithm{AlgorithmPartition, AlgorithmSortMerge, AlgorithmNestedLoop}
+var algorithms = []join.Algorithm{join.AlgorithmPartition, join.AlgorithmSortMerge, join.AlgorithmNestedLoop}
 
 // workload produces paired tuple sets with controlled key selectivity
 // and long-lived density (mirrors the join package's test workloads).
@@ -93,7 +93,7 @@ func assertSameResult(t *testing.T, label string, got, want []tuple.Tuple) {
 
 // runSharded loads the inputs on a fresh device and runs one sharded
 // execution, returning the merged result in emission order.
-func runSharded(t *testing.T, algo Algorithm, rTuples, sTuples []tuple.Tuple, cfg Config) ([]tuple.Tuple, *Stats) {
+func runSharded(t *testing.T, algo join.Algorithm, rTuples, sTuples []tuple.Tuple, cfg Config) ([]tuple.Tuple, *Stats) {
 	t.Helper()
 	d := disk.New(page.DefaultSize)
 	r := load(t, d, empSchema, rTuples)
@@ -228,7 +228,7 @@ func TestEffectiveShardsCapped(t *testing.T) {
 	sTuples := w.generate(rng, 2)
 	want := oracle(t, 0, rTuples, sTuples)
 
-	got, stats := runSharded(t, AlgorithmPartition, rTuples, sTuples, Config{
+	got, stats := runSharded(t, join.AlgorithmPartition, rTuples, sTuples, Config{
 		Shards: 8, MemoryPages: 64, Seed: 3,
 	})
 	if stats.Shards > 8 {
@@ -263,13 +263,13 @@ func TestConfigValidation(t *testing.T) {
 	s := load(t, d, deptSchema, nil)
 	var sink relation.CollectSink
 
-	if _, _, err := Join(Algorithm(99), r, s, &sink, Config{Shards: 1, MemoryPages: 8}); err == nil {
+	if _, _, err := Join(join.Algorithm(99), r, s, &sink, Config{Shards: 1, MemoryPages: 8}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, _, err := Join(AlgorithmPartition, r, s, &sink, Config{Shards: 0, MemoryPages: 8}); err == nil {
+	if _, _, err := Join(join.AlgorithmPartition, r, s, &sink, Config{Shards: 0, MemoryPages: 8}); err == nil {
 		t.Error("zero shards accepted")
 	}
-	if _, _, err := Join(AlgorithmPartition, r, s, &sink, Config{Shards: 4, MemoryPages: 12}); err == nil {
+	if _, _, err := Join(join.AlgorithmPartition, r, s, &sink, Config{Shards: 4, MemoryPages: 12}); err == nil {
 		t.Error("3-pages-per-shard budget accepted; the floor is 4")
 	} else if !strings.Contains(err.Error(), "4") {
 		t.Errorf("budget error does not mention the floor: %v", err)
@@ -277,7 +277,7 @@ func TestConfigValidation(t *testing.T) {
 
 	other := disk.New(page.DefaultSize)
 	s2 := load(t, other, deptSchema, nil)
-	if _, _, err := Join(AlgorithmPartition, r, s2, &sink, Config{Shards: 1, MemoryPages: 8}); err == nil {
+	if _, _, err := Join(join.AlgorithmPartition, r, s2, &sink, Config{Shards: 1, MemoryPages: 8}); err == nil {
 		t.Error("inputs on different devices accepted")
 	}
 }
@@ -295,7 +295,7 @@ func TestShardDevicesReclaimed(t *testing.T) {
 
 	var devs []*disk.Disk
 	var sink relation.CollectSink
-	_, _, err := Join(AlgorithmSortMerge, r, s, &sink, Config{
+	_, _, err := Join(join.AlgorithmSortMerge, r, s, &sink, Config{
 		Shards: 3, MemoryPages: 24, Seed: 8,
 		NewDevice: func(int) *disk.Disk {
 			nd := disk.New(page.DefaultSize)
@@ -313,5 +313,27 @@ func TestShardDevicesReclaimed(t *testing.T) {
 	}
 	if after := d.LiveFiles(); len(after) != len(before) {
 		t.Errorf("global device: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// TestReportNames pins the algorithm name a sharded run's cost report
+// carries.
+func TestReportNames(t *testing.T) {
+	d := disk.New(page.DefaultSize)
+	r := load(t, d, empSchema, nil)
+	s := load(t, d, deptSchema, nil)
+	for algo, want := range map[join.Algorithm]string{
+		join.AlgorithmPartition:  "sharded partition",
+		join.AlgorithmSortMerge:  "sharded sort-merge",
+		join.AlgorithmNestedLoop: "sharded nested-loop",
+	} {
+		var sink relation.CountSink
+		rep, _, err := Join(algo, r, s, &sink, Config{Shards: 2, MemoryPages: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Algorithm != want {
+			t.Errorf("%v: report names %q, want %q", algo, rep.Algorithm, want)
+		}
 	}
 }

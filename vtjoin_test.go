@@ -293,3 +293,19 @@ func TestResultDeterministicAcrossAlgorithms(t *testing.T) {
 		}
 	}
 }
+
+// TestAlgorithmNames pins the public algorithm names: they appear in
+// CLI output, traces and Result.Algorithm renderings.
+func TestAlgorithmNames(t *testing.T) {
+	for a, want := range map[Algorithm]string{
+		AlgorithmAuto:       "auto",
+		AlgorithmPartition:  "partition-join",
+		AlgorithmSortMerge:  "sort-merge",
+		AlgorithmNestedLoop: "nested-loop",
+		Algorithm(99):       "invalid",
+	} {
+		if got := a.String(); got != want {
+			t.Errorf("Algorithm(%d).String() = %q, want %q", int(a), got, want)
+		}
+	}
+}
