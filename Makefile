@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check fuzz bench bench-smoke bench-compare perfbench-smoke explain-smoke chaos-smoke shard-smoke codec-smoke serve-smoke subs-smoke
+.PHONY: all build test race vet fmt check fuzz bench bench-smoke perfbench-smoke explain-smoke chaos-smoke shard-smoke codec-smoke serve-smoke subs-smoke
 
 all: check
 
@@ -45,20 +45,13 @@ perfbench-smoke:
 	cd perfbench && $(GO) test ./...
 	bash perfbench/run.sh --workload all --seed 1 --seconds 3 --trace 0
 
-# Scan-versus-sweep kernel comparison: Go micro-benchmarks for both
-# kernels plus the vtbench kernel figure, which differentially verifies
-# the kernels against each other and writes BENCH_pr3.json (wall clock,
-# CPU time per phase, allocations via -benchmem).
-bench-compare:
-	$(GO) test -run '^$$' -bench 'ProbeBatch|Matcher' -benchmem ./internal/join/
-	$(GO) run ./cmd/vtbench -figure kernels -scale 64 -benchjson BENCH_pr3.json
-
 # Mid-query abort smoke: the chaos matrix (every algorithm × engine ×
-# kernel aborted by cancellation, deadline and permanent faults) under
-# the race detector, then an end-to-end vtbench run with a deadline it
-# cannot meet — which must exit with the cancellation code (3) and
-# leave no temporary files behind (the in-process audits enforce the
-# file half; the exit code is asserted here).
+# matching route aborted by cancellation, deadline and permanent
+# faults) under the race detector, then an end-to-end vtbench run
+# with a deadline it cannot meet — which must exit with the
+# cancellation code (3) and leave no temporary files behind (the
+# in-process audits enforce the file half; the exit code is asserted
+# here).
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaos|TestJoinsSurviveMidJoin|TestJoinsFailCleanlyOnMidJoin|TestSortDrops|TestDoPartitioningDrops|TestDoPartitioningPairCleans' \
 		./internal/join/ ./internal/extsort/ ./internal/partition/
@@ -71,8 +64,8 @@ chaos-smoke:
 	echo "chaos-smoke: deadline abort exited 3 as required"
 
 # Time-sharded execution smoke: the shard test matrix (differential
-# identity vs the unsharded reference across algorithms × kernels ×
-# predicates, ordering determinism, per-shard I/O vs a composed
+# identity vs the unsharded reference across algorithms × matching
+# routes × predicates, ordering determinism, per-shard I/O vs a composed
 # reference, and the K-device chaos strikes) under the race detector,
 # then the multi-core scaling figure end to end, whose checksum column
 # self-verifies sharded-vs-unsharded result identity.
@@ -81,8 +74,8 @@ shard-smoke:
 	$(GO) run ./cmd/vtbench -figure shards -scale 8 -benchjson BENCH_pr7.json
 
 # Compressed page codec smoke: the v2 codec unit suite, the
-# format differential matrix (3 algorithms × 2 kernels × 8 predicate
-# masks, run twice under v1 for byte + counter identity and once under
+# format differential matrix (3 algorithms × 2 matching routes × 8
+# predicate masks, run twice under v1 for byte + counter identity and once under
 # v2 for result identity), the v2 fault matrix, short runs of both v2
 # fuzz targets, then the codec figure end to end — which stores every
 # workload under both formats and refuses to report a compression

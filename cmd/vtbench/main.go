@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	vtbench [-figure 4|5|6|7|8|all|kernels] [-scale N] [-seed S] [-workers W]
+//	vtbench [-figure 4|5|6|7|8|all] [-scale N] [-seed S] [-workers W]
 //	        [-timeout duration] [-audit] [-benchjson F]
 //	        [-cpuprofile F] [-memprofile F]
 //
@@ -19,13 +19,6 @@
 // many figure data points evaluate concurrently; the emitted figures
 // are identical for every setting (each point is self-contained), so
 // -workers only changes wall-clock time.
-//
-// -figure kernels compares the scan and sweep matching kernels:
-// in-memory microbenchmarks plus full sort-merge and partition runs
-// with per-phase CPU time next to the I/O counters. Its output
-// contains timings and is therefore not deterministic — it is excluded
-// from "-figure all", whose output the determinism checks diff.
-// -benchjson additionally writes the kernel comparison as JSON.
 //
 // -timeout bounds the whole run: once the deadline passes (or the
 // process is interrupted), in-flight joins abort cooperatively at the
@@ -46,18 +39,17 @@ import (
 
 	"vtjoin/internal/execctx"
 	"vtjoin/internal/experiments"
-	"vtjoin/internal/join"
 	"vtjoin/internal/page"
 )
 
 func main() {
-	figure := flag.String("figure", "all", "figure to regenerate: 4, 5, 6, 7, 8, ablations, all, kernels, shards, codec, serve, or subs (timing-based figures are excluded from all)")
+	figure := flag.String("figure", "all", "figure to regenerate: 4, 5, 6, 7, 8, ablations, all, shards, codec, serve, or subs (timing-based figures are excluded from all)")
 	scale := flag.Int("scale", 16, "scale divisor on tuple counts and memory (1 = paper scale)")
 	seed := flag.Int64("seed", 1994, "base RNG seed")
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent figure data points (1 = sequential; output is identical at any setting)")
 	audit := flag.Bool("audit", false, "run every join under the trace invariant audits (figures are identical; violations fail the run)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline); exits 3 on expiry")
-	benchjson := flag.String("benchjson", "", "with -figure kernels, shards, codec or serve: also write the results as JSON to this file (codec default: BENCH_pr8.json, serve default: BENCH_pr9.json)")
+	benchjson := flag.String("benchjson", "", "with -figure shards, codec, serve or subs: also write the results as JSON to this file (codec default: BENCH_pr8.json, serve default: BENCH_pr9.json)")
 	pageFormat := flag.String("page-format", "v1", "page codec relations are written in: v1 (slotted) or v2 (delta intervals + per-page dictionaries); -figure codec sweeps both and ignores this")
 	shards := flag.Int("shards", 8, "with -figure shards: largest shard count in the K sweep")
 	sessions := flag.Int("sessions", 120, "with -figure serve: concurrent client sessions to replay")
@@ -66,12 +58,12 @@ func main() {
 	flag.Parse()
 
 	switch *figure {
-	case "4", "5", "6", "7", "8", "ablations", "all", "kernels", "shards", "codec", "serve", "subs":
+	case "4", "5", "6", "7", "8", "ablations", "all", "shards", "codec", "serve", "subs":
 	default:
-		usage(fmt.Errorf("unknown figure %q (want 4, 5, 6, 7, 8, ablations, all, kernels, shards, codec, serve or subs)", *figure))
+		usage(fmt.Errorf("unknown figure %q (want 4, 5, 6, 7, 8, ablations, all, shards, codec, serve or subs)", *figure))
 	}
-	if *benchjson != "" && *figure != "kernels" && *figure != "shards" && *figure != "codec" && *figure != "serve" && *figure != "subs" {
-		usage(fmt.Errorf("-benchjson requires -figure kernels, shards, codec, serve or subs"))
+	if *benchjson != "" && *figure != "shards" && *figure != "codec" && *figure != "serve" && *figure != "subs" {
+		usage(fmt.Errorf("-benchjson requires -figure shards, codec, serve or subs"))
 	}
 	if *shards < 1 {
 		usage(fmt.Errorf("-shards must be >= 1, got %d", *shards))
@@ -111,10 +103,10 @@ func main() {
 	}
 
 	run := func(name string, f func() error) {
-		// "kernels", "shards", "serve" and "subs" are timing-based and
+		// "shards", "serve" and "subs" are timing-based and
 		// opt-in only: "all" must stay byte-identical across runs and
 		// worker counts.
-		if *figure != name && (*figure != "all" || name == "kernels" || name == "shards" || name == "serve" || name == "subs") {
+		if *figure != name && (*figure != "all" || name == "shards" || name == "serve" || name == "subs") {
 			return
 		}
 		start := time.Now()
@@ -158,24 +150,6 @@ func main() {
 			return err
 		}
 		fmt.Print(experiments.RenderFigure8(rows))
-		return nil
-	})
-	run("kernels", func() error {
-		rows, err := experiments.RunKernelBench(p)
-		if err != nil {
-			return err
-		}
-		phases, err := experiments.RunKernelPhases(p)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderKernelBench(rows, phases))
-		if *benchjson != "" {
-			if err := writeBenchJSON(*benchjson, p, rows, phases); err != nil {
-				return err
-			}
-			fmt.Printf("\n[kernel comparison written to %s]\n", *benchjson)
-		}
 		return nil
 	})
 	run("shards", func() error {
@@ -265,54 +239,6 @@ func main() {
 			fatal(fmt.Errorf("memprofile: %w", err))
 		}
 	}
-}
-
-// writeBenchJSON records the kernel comparison in the BENCH_*.json
-// format the repo tracks across performance PRs.
-func writeBenchJSON(path string, p experiments.Params, rows []join.KernelBenchResult, phases []experiments.AlgoPhaseTiming) error {
-	type jsonMicro struct {
-		Spec         string  `json:"spec"`
-		Kernel       string  `json:"kernel"`
-		Pairs        int64   `json:"pairs"`
-		WallMS       float64 `json:"wall_ms"`
-		CPUMS        float64 `json:"cpu_ms"`
-		TuplesPerSec float64 `json:"tuples_per_sec"`
-	}
-	type jsonPhase struct {
-		Algorithm string  `json:"algorithm"`
-		Kernel    string  `json:"kernel"`
-		Phase     string  `json:"phase"`
-		IOPages   int64   `json:"io_pages"`
-		WallMS    float64 `json:"wall_ms"`
-		CPUMS     float64 `json:"cpu_ms"`
-	}
-	doc := struct {
-		experiments.BenchHeader
-		Micro  []jsonMicro `json:"kernel_microbenchmarks"`
-		Phases []jsonPhase `json:"algorithm_phases"`
-	}{
-		BenchHeader: experiments.NewBenchHeader(
-			"Scan vs sweep matching-kernel comparison: in-memory microbenchmarks (pair counts differentially verified) and full sort-merge / partition-join runs with per-phase CPU time. Per-phase I/O is asserted identical across kernels.",
-			fmt.Sprintf("vtbench -figure kernels -scale %d -seed %d", p.Scale, p.Seed)),
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	for _, r := range rows {
-		doc.Micro = append(doc.Micro, jsonMicro{
-			Spec: r.Spec, Kernel: r.Kernel, Pairs: r.Pairs,
-			WallMS: ms(r.Wall), CPUMS: ms(r.CPU), TuplesPerSec: r.TuplesPerSec,
-		})
-	}
-	for _, ph := range phases {
-		doc.Phases = append(doc.Phases, jsonPhase{
-			Algorithm: ph.Algorithm, Kernel: ph.Kernel, Phase: ph.Phase,
-			IOPages: ph.IO, WallMS: ms(ph.Wall), CPUMS: ms(ph.CPU),
-		})
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // writeShardsJSON records the multi-core shard-scaling sweep in the
@@ -511,7 +437,7 @@ func writeSubsJSON(path string, p experiments.Params, rows []experiments.SubsRes
 		Rows []jsonRow `json:"subscription_load"`
 	}{
 		BenchHeader: experiments.NewBenchHeader(
-			"Steady-state append throughput under open ongoing-relation subscriptions: N subscribers hold one incremental join view each while append batches stream into both base relations. Every delivered delta segment is checksum-verified against a full in-memory re-join at that append point, and the final state is cross-checked across all three batch algorithms and both kernels.",
+			"Steady-state append throughput under open ongoing-relation subscriptions: N subscribers hold one incremental join view each while append batches stream into both base relations. Every delivered delta segment is checksum-verified against a full in-memory re-join at that append point, and the final state is cross-checked across all three batch algorithms.",
 			fmt.Sprintf("vtbench -figure subs -scale %d -seed %d", p.Scale, p.Seed)),
 	}
 	for _, r := range rows {
@@ -537,5 +463,5 @@ func fatal(err error) { execctx.Fatal("vtbench", err) }
 // usage reports a command-line mistake and exits 2.
 func usage(err error) {
 	execctx.Usage("vtbench", err,
-		"vtbench [-figure 4|5|6|7|8|ablations|all|kernels|shards|codec|serve|subs] [-scale N] [-seed S] [-workers W] [-page-format v1|v2] [-benchjson F] [-cpuprofile F] [-memprofile F]")
+		"vtbench [-figure 4|5|6|7|8|ablations|all|shards|codec|serve|subs] [-scale N] [-seed S] [-workers W] [-page-format v1|v2] [-benchjson F] [-cpuprofile F] [-memprofile F]")
 }

@@ -8,6 +8,7 @@ import (
 	"vtjoin/internal/plan2"
 	"vtjoin/internal/query"
 	"vtjoin/internal/relation"
+	"vtjoin/internal/testutil"
 )
 
 // relCatalog resolves query relation names to the DB's relations.
@@ -25,7 +26,12 @@ func (c relCatalog) Lookup(name string) (*relation.Relation, error) {
 // front ends onto the same join engines. On the same relations and
 // settings, JoinInto and plan2.Run of the equivalent query must emit
 // the same rows in the same order and move the device's counters by
-// the same amounts, for every algorithm, kernel and shard setting.
+// the same amounts, for every algorithm, matching route and shard
+// setting. The route (testutil.Route) is chosen by the join keys, so
+// each route gets its own pair of relations. A case is labelled by its
+// coordinates in the query-shaped form the matrix has always used —
+// algorithm hint, kernel route, shard count — so results stay
+// comparable with earlier runs; the query it runs has no kernel word.
 func TestFrontEndParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	gen := func(n int) []Tuple {
@@ -41,15 +47,19 @@ func TestFrontEndParity(t *testing.T) {
 		return ts
 	}
 	db := Open(WithPageSize(1024))
-	r, err := db.Load(NewSchema(Col("k", KindInt), Col("a", KindInt)), gen(900))
-	if err != nil {
-		t.Fatal(err)
+	rDense, sDense := gen(900), gen(700)
+	rels := map[testutil.Route][2]*Relation{}
+	for _, route := range testutil.Routes {
+		r, err := db.Load(NewSchema(Col("k", KindInt), Col("a", KindInt)), route.Keys(rDense, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := db.Load(NewSchema(Col("k", KindInt), Col("b", KindInt)), route.Keys(sDense, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels[route] = [2]*Relation{r, s}
 	}
-	s, err := db.Load(NewSchema(Col("k", KindInt), Col("b", KindInt)), gen(700))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := relCatalog{"r": r, "s": s}
 	const memory = 16
 
 	algos := []struct {
@@ -60,25 +70,22 @@ func TestFrontEndParity(t *testing.T) {
 		{AlgorithmSortMerge, "sortmerge"},
 		{AlgorithmNestedLoop, "nestedloop"},
 	}
-	kernels := []struct {
-		kernel Kernel
-		hint   string
-	}{
-		{KernelSweep, "sweep"},
-		{KernelScan, "scan"},
-	}
 	for _, a := range algos {
-		for _, k := range kernels {
+		for _, route := range testutil.Routes {
+			r, s := rels[route][0], rels[route][1]
+			cat := relCatalog{"r": r, "s": s}
 			for _, shards := range []int{0, 2} {
-				q := fmt.Sprintf("scan r | join scan s using %s kernel %s", a.hint, k.hint)
+				q := "scan r | join scan s using " + a.hint
+				label := fmt.Sprintf("%s kernel %s", q, route)
 				if shards > 0 {
 					q += fmt.Sprintf(" shards %d", shards)
+					label += fmt.Sprintf(" shards %d", shards)
 				}
-				t.Run(q, func(t *testing.T) {
+				t.Run(label, func(t *testing.T) {
 					var rootRows []string
 					before := db.IOCounters()
 					if _, err := JoinInto(r, s, Options{
-						Algorithm: a.algo, Kernel: k.kernel, MemoryPages: memory, Shards: shards,
+						Algorithm: a.algo, MemoryPages: memory, Shards: shards,
 					}, func(tp Tuple) error {
 						rootRows = append(rootRows, tp.String())
 						return nil

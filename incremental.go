@@ -39,8 +39,6 @@ type ViewOptions struct {
 	// Predicate selects the temporal condition maintained pairs must
 	// satisfy (default: intersecting intervals, the natural join).
 	Predicate Predicate
-	// Kernel selects the in-memory matching kernel (default: sweep).
-	Kernel Kernel
 }
 
 // NewView materializes r ⋈V s as an incrementally maintainable view.
@@ -109,7 +107,6 @@ func NewViewContext(ctx context.Context, r, s *Relation, opts ViewOptions) (*Vie
 	v, err := incremental.New(ctx, r.internal(), s.internal(), incremental.Config{
 		Partitioning: parting,
 		Predicate:    mask,
-		Kernel:       opts.Kernel.internal(),
 	})
 	if err != nil {
 		return nil, err

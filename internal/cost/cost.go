@@ -32,8 +32,8 @@ func (w Weights) String() string { return fmt.Sprintf("%g:%g", w.Rand, w.Seq) }
 // Phase names one stage of an evaluation algorithm, e.g. the paper's
 // Csample, Cpartition and Cjoin components. Besides the simulated I/O
 // counters it records the real wall-clock and process CPU time the
-// phase consumed, so CPU-bound differences (e.g. between matching
-// kernels) are visible next to the I/O model.
+// phase consumed, so CPU-bound differences (e.g. in the matching
+// kernel) are visible next to the I/O model.
 type Phase struct {
 	Name     string
 	Counters disk.Counters
@@ -52,32 +52,8 @@ type Report struct {
 	Phases    []Phase
 }
 
-// Add records a phase. Phases with all-zero counters are still recorded
-// so reports stay comparable across runs.
-func (r *Report) Add(name string, c disk.Counters) {
-	r.Phases = append(r.Phases, Phase{Name: name, Counters: c})
-}
-
 // AddPhase records a fully-populated phase (counters and timings).
 func (r *Report) AddPhase(p Phase) { r.Phases = append(r.Phases, p) }
-
-// WallTotal returns the summed wall-clock time over all phases.
-func (r *Report) WallTotal() time.Duration {
-	var t time.Duration
-	for _, p := range r.Phases {
-		t += p.Wall
-	}
-	return t
-}
-
-// CPUTotal returns the summed process CPU time over all phases.
-func (r *Report) CPUTotal() time.Duration {
-	var t time.Duration
-	for _, p := range r.Phases {
-		t += p.CPU
-	}
-	return t
-}
 
 // Total returns the summed counters over all phases.
 func (r *Report) Total() disk.Counters {
@@ -90,17 +66,6 @@ func (r *Report) Total() disk.Counters {
 
 // Cost returns the weighted total cost under w.
 func (r *Report) Cost(w Weights) float64 { return w.Of(r.Total()) }
-
-// PhaseCost returns the weighted cost of the named phase, or 0 if the
-// phase was not recorded.
-func (r *Report) PhaseCost(name string, w Weights) float64 {
-	for _, p := range r.Phases {
-		if p.Name == name {
-			return w.Of(p.Counters)
-		}
-	}
-	return 0
-}
 
 // String renders the report with per-phase access counts.
 func (r *Report) String() string {

@@ -21,8 +21,8 @@ func TestWeights(t *testing.T) {
 
 func TestReport(t *testing.T) {
 	r := &Report{Algorithm: "test"}
-	r.Add("a", disk.Counters{RandReads: 1})
-	r.Add("b", disk.Counters{SeqReads: 3})
+	r.AddPhase(Phase{Name: "a", Counters: disk.Counters{RandReads: 1}})
+	r.AddPhase(Phase{Name: "b", Counters: disk.Counters{SeqReads: 3}})
 	tot := r.Total()
 	if tot.RandReads != 1 || tot.SeqReads != 3 {
 		t.Fatalf("Total = %v", tot)
@@ -30,12 +30,6 @@ func TestReport(t *testing.T) {
 	w := Ratio(10)
 	if got := r.Cost(w); got != 13 {
 		t.Fatalf("Cost = %g, want 13", got)
-	}
-	if got := r.PhaseCost("a", w); got != 10 {
-		t.Fatalf("PhaseCost(a) = %g, want 10", got)
-	}
-	if got := r.PhaseCost("missing", w); got != 0 {
-		t.Fatalf("PhaseCost(missing) = %g, want 0", got)
 	}
 	if r.String() == "" {
 		t.Fatal("empty String")

@@ -44,14 +44,14 @@ const (
 )
 
 // serveQueryMix is the session script: joins across all three
-// algorithms and both kernels, a filtered subquery join, a temporal
+// algorithms, a filtered subquery join, a temporal
 // difference and an aggregate, so the executor's whole surface is
 // under load. Sessions walk the mix round-robin from a per-session
 // offset, so at any instant the in-flight mix is heterogeneous.
 var serveQueryMix = []string{
-	"scan r | join scan s using partition kernel sweep memory 16",
-	"scan r | join scan s using sortmerge kernel scan memory 16",
-	"scan r | join scan s using nestedloop kernel sweep memory 16",
+	"scan r | join scan s using partition memory 16",
+	"scan r | join scan s using sortmerge memory 16",
+	"scan r | join scan s using nestedloop memory 16",
 	"scan r | select key < 16 | join (scan s | select key < 16) using partition memory 16",
 	"scan r | diff (scan r | select key < 8)",
 	"scan r | join scan s using sortmerge memory 16 | aggregate count",

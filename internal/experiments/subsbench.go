@@ -38,8 +38,8 @@ const (
 	subsBatchRows   = 8  // tuples per append batch
 	subsFoldKeys    = 32 // join key domain, matching the serve figure
 	subsSlackPages  = 64 // pool headroom for the verification queries
-	subsSubQuery    = "scan r | join scan s using partition kernel sweep memory 16"
-	subsVerifyEvery = "scan r | join scan s using %s kernel %s memory 16"
+	subsSubQuery    = "scan r | join scan s using partition memory 16"
+	subsVerifyEvery = "scan r | join scan s using %s memory 16"
 )
 
 // SubsResult is one fleet size of the subscriptions figure.
@@ -284,23 +284,21 @@ func runSubsPoint(p Params, subs int) (*SubsResult, error) {
 	}
 	wall := time.Since(start)
 
-	// Final-state matrix: every batch algorithm and kernel recomputes
-	// the post-append join and must agree with the in-memory reference.
+	// Final-state matrix: every batch algorithm recomputes the
+	// post-append join and must agree with the in-memory reference.
 	finalSum, err := subsChecksum(before)
 	if err != nil {
 		return nil, err
 	}
 	for _, algo := range []string{"partition", "sortmerge", "nestedloop"} {
-		for _, kernel := range []string{"sweep", "scan"} {
-			var sink ChecksumSink
-			q := fmt.Sprintf(subsVerifyEvery, algo, kernel)
-			if _, _, err := srv.Execute(context.Background(), q, sink.Append); err != nil {
-				return nil, fmt.Errorf("final verify %q: %w", q, err)
-			}
-			if sink.Sum != finalSum || sink.Count != int64(len(before)) {
-				return nil, fmt.Errorf("final state diverged: %s/%s computed %d rows checksum %016x, reference %d rows checksum %016x",
-					algo, kernel, sink.Count, sink.Sum, len(before), finalSum)
-			}
+		var sink ChecksumSink
+		q := fmt.Sprintf(subsVerifyEvery, algo)
+		if _, _, err := srv.Execute(context.Background(), q, sink.Append); err != nil {
+			return nil, fmt.Errorf("final verify %q: %w", q, err)
+		}
+		if sink.Sum != finalSum || sink.Count != int64(len(before)) {
+			return nil, fmt.Errorf("final state diverged: %s computed %d rows checksum %016x, reference %d rows checksum %016x",
+				algo, sink.Count, sink.Sum, len(before), finalSum)
 		}
 	}
 

@@ -5,7 +5,7 @@ import "testing"
 // TestRunFigureSubsSmall exercises the steady-state subscription
 // harness at a small scale with two fleet sizes: every delivered delta
 // segment must verify against the in-memory re-join, the final-state
-// algorithm/kernel matrix must agree, and teardown must leave the pool
+// algorithm matrix must agree, and teardown must leave the pool
 // balanced with no leaked view files (all asserted inside the run).
 func TestRunFigureSubsSmall(t *testing.T) {
 	p, err := Scaled(256)

@@ -10,6 +10,7 @@ import (
 	"vtjoin/internal/join"
 	"vtjoin/internal/page"
 	"vtjoin/internal/schema"
+	"vtjoin/internal/testutil"
 	"vtjoin/internal/tuple"
 )
 
@@ -28,7 +29,7 @@ var viewPredicates = map[string]join.Predicate{
 
 // TestDifferentialMaintenance drives randomized left/right append
 // interleavings through a view under every predicate mask and both
-// kernels, asserting after every single append that the maintained
+// matching routes (chosen by the keys, testutil.Route), asserting after every single append that the maintained
 // result is set-equal to a from-scratch reference join over the
 // current base tuple sets. This is the property the incremental
 // machinery exists to preserve: fold-by-fold maintenance must be
@@ -38,18 +39,16 @@ func TestDifferentialMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernels := map[string]join.Kernel{"sweep": join.KernelSweep, "scan": join.KernelScan}
 	for predName, pred := range viewPredicates {
-		for kName, kernel := range kernels {
-			t.Run(fmt.Sprintf("%s/%s", predName, kName), func(t *testing.T) {
+		for _, route := range testutil.Routes {
+			t.Run(fmt.Sprintf("%s/%s", predName, route), func(t *testing.T) {
 				d := disk.New(page.DefaultSize)
-				seed := int64(len(predName)*100 + len(kName))
-				lt, lrel := buildBase(t, d, leftSchema, 60, seed)
-				rt, rrel := buildBase(t, d, rightSchema, 60, seed+1)
+				seed := int64(len(predName)*100 + len(route))
+				lt, lrel := loadBase(t, d, leftSchema, route.Keys(baseTuples(60, seed), 0))
+				rt, rrel := loadBase(t, d, rightSchema, route.Keys(baseTuples(60, seed+1), 0))
 				v, err := New(nil, lrel, rrel, Config{
 					Partitioning: mustCuts(t, 250, 500, 750, 1000, 1250),
 					Predicate:    pred,
-					Kernel:       kernel,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -61,11 +60,13 @@ func TestDifferentialMaintenance(t *testing.T) {
 				for i := 0; i < 40; i++ {
 					tp := randTuple(rng, int64(7000000)+seed*1000+int64(i))
 					if rng.Intn(2) == 0 {
+						tp = route.Key(tp, 0, len(lt))
 						if _, err := v.InsertLeft(nil, tp); err != nil {
 							t.Fatal(err)
 						}
 						lt = append(lt, tp)
 					} else {
+						tp = route.Key(tp, 0, len(rt))
 						if _, err := v.InsertRight(nil, tp); err != nil {
 							t.Fatal(err)
 						}

@@ -13,7 +13,7 @@
 //
 // The in-memory match reuses the join package's kernel layer
 // (join.Matcher): resident batches meet the delta through the same
-// sweep/scan kernels and key-hash index the partition join uses, and
+// plane sweep and key-hash index the partition join uses, and
 // any intersection-implying predicate mask is supported.
 //
 // Views honor the execution contract of the rest of the tree: every
@@ -76,8 +76,6 @@ type Config struct {
 	// pairs must satisfy (zero value: chronon.MaskIntersects, the
 	// valid-time natural join).
 	Predicate join.Predicate
-	// Kernel selects the in-memory matching kernel (default: sweep).
-	Kernel join.Kernel
 	// Tracer, when non-nil, records the construction phases
 	// (partitioning, initial join) as spans with exact per-phase I/O
 	// attribution. Nil disables tracing.
@@ -125,11 +123,11 @@ func New(ctx context.Context, r, s *relation.Relation, cfg Config) (view *View, 
 		}
 	}()
 
-	v.deltaM, err = join.NewMatcher(plan, cfg.Predicate, cfg.Kernel, nil)
+	v.deltaM, err = join.NewMatcher(plan, cfg.Predicate, join.KernelSweep, nil)
 	if err != nil {
 		return nil, err
 	}
-	v.pageM, err = join.NewMatcher(plan, cfg.Predicate, cfg.Kernel, nil)
+	v.pageM, err = join.NewMatcher(plan, cfg.Predicate, join.KernelSweep, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -40,11 +40,21 @@ func randTuple(rng *rand.Rand, id int64) tuple.Tuple {
 
 func buildBase(t *testing.T, d *disk.Disk, s *schema.Schema, n int, seed int64) ([]tuple.Tuple, *relation.Relation) {
 	t.Helper()
+	return loadBase(t, d, s, baseTuples(n, seed))
+}
+
+// baseTuples draws n random base tuples from seed.
+func baseTuples(n int, seed int64) []tuple.Tuple {
 	rng := rand.New(rand.NewSource(seed))
 	var ts []tuple.Tuple
 	for i := 0; i < n; i++ {
 		ts = append(ts, randTuple(rng, int64(seed*100000)+int64(i)))
 	}
+	return ts
+}
+
+func loadBase(t *testing.T, d *disk.Disk, s *schema.Schema, ts []tuple.Tuple) ([]tuple.Tuple, *relation.Relation) {
+	t.Helper()
 	rel, err := relation.FromTuples(d, s, ts)
 	if err != nil {
 		t.Fatal(err)

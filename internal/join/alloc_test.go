@@ -1,6 +1,6 @@
 //go:build !race
 
-// Allocation-count regressions for the matching kernels. Excluded
+// Allocation-count regressions for the matching kernel. Excluded
 // under the race detector, whose instrumentation allocates and would
 // make testing.AllocsPerRun report false positives.
 //
@@ -47,7 +47,7 @@ func TestProbeIdxAllocFree(t *testing.T) {
 	// allocation.
 	outer := genBatch(rng, 16, 512, 0, 10000, 0)
 	inner := genBatch(rng, 16, 512, 50000, 10000, 0)
-	m := newKernelMatcher(plan, chronon.MaskIntersects, KernelScan, outer)
+	m := newPredMatcher(plan, chronon.MaskIntersects, outer)
 	sink := func(_ int32, _ tuple.Tuple) error { return nil }
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
@@ -72,7 +72,7 @@ func TestSweepKeyedAllocFree(t *testing.T) {
 	// event, but MaskEqual never holds so nothing is emitted.
 	outer := genBatch(rng, 16, 512, 0, 10000, 0)
 	inner := genBatch(rng, 16, 512, 0, 10000, 1)
-	m := newKernelMatcher(plan, chronon.MaskEqual, KernelSweep, outer)
+	m := newPredMatcher(plan, chronon.MaskEqual, outer)
 	sink := func(_ int32, _ tuple.Tuple) error { return nil }
 	// Warm-up batch: the first sweep sizes the scratch slices and the
 	// active-set map buckets, which are reused from then on.
@@ -106,7 +106,7 @@ func TestSweepTimeAllocFree(t *testing.T) {
 	}
 	outer := strip(genBatch(rng, 16, 512, 0, 10000, 0))
 	inner := strip(genBatch(rng, 16, 512, 0, 10000, 1))
-	m := newKernelMatcher(plan, chronon.MaskEqual, KernelSweep, outer)
+	m := newPredMatcher(plan, chronon.MaskEqual, outer)
 	sink := func(_ int32, _ tuple.Tuple) error { return nil }
 	if err := m.probeBatch(inner, sink); err != nil {
 		t.Fatal(err)

@@ -91,10 +91,28 @@ func benchPartition(b *testing.B, sequential bool) {
 func BenchmarkPartitionJoin(b *testing.B)           { benchPartition(b, false) }
 func BenchmarkPartitionJoinSequential(b *testing.B) { benchPartition(b, true) }
 
-// BenchmarkProbeBatchKeyed compares the kernels head to head on the
-// batch probe path: a dense-keyed, high-overlap workload where the
-// scan kernel rescans large buckets per probe and the sweep's active
-// lists pay off.
+// benchProbeBatch feeds inner to m in page-sized batches, one per
+// iteration, cycling through the inner relation.
+func benchProbeBatch(b *testing.B, m *matcher, inner []tuple.Tuple) {
+	const batch = 256
+	sinkFn := func(_ int32, _ tuple.Tuple) error { return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := (i * batch) % len(inner)
+		hi := lo + batch
+		if hi > len(inner) {
+			hi = len(inner)
+		}
+		if err := m.probeBatch(inner[lo:hi], sinkFn); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProbeBatchKeyed measures the batch probe path on a
+// dense-keyed, high-overlap workload, where per-tuple probing would
+// rescan large buckets and the sweep's active lists pay off.
 func BenchmarkProbeBatchKeyed(b *testing.B) {
 	w := workload{keys: 64, n: 4096, longEvery: 8, lifespan: 100000}
 	rng := rand.New(rand.NewSource(5))
@@ -104,30 +122,11 @@ func BenchmarkProbeBatchKeyed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const batch = 256
-	sinkFn := func(_ int32, _ tuple.Tuple) error { return nil }
-	for _, k := range []Kernel{KernelScan, KernelSweep} {
-		b.Run(k.String(), func(b *testing.B) {
-			m := newKernelMatcher(plan, chronon.MaskIntersects, k, outer)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lo := (i * batch) % len(inner)
-				hi := lo + batch
-				if hi > len(inner) {
-					hi = len(inner)
-				}
-				if err := m.probeBatch(inner[lo:hi], sinkFn); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchProbeBatch(b, newPredMatcher(plan, chronon.MaskIntersects, outer), inner)
 }
 
-// BenchmarkProbeBatchTimeJoin is the same comparison on a pure
-// time-join, where the scan kernel rescans the start-ordered outer
-// prefix per probe.
+// BenchmarkProbeBatchTimeJoin is the same measurement on a pure
+// time-join, which always sweeps.
 func BenchmarkProbeBatchTimeJoin(b *testing.B) {
 	xSchema := schema.MustNew(schema.Column{Name: "x", Kind: value.KindInt})
 	ySchema := schema.MustNew(schema.Column{Name: "y", Kind: value.KindInt})
@@ -147,23 +146,5 @@ func BenchmarkProbeBatchTimeJoin(b *testing.B) {
 	}
 	outer := gen(2048)
 	inner := gen(2048)
-	const batch = 256
-	sinkFn := func(_ int32, _ tuple.Tuple) error { return nil }
-	for _, k := range []Kernel{KernelScan, KernelSweep} {
-		b.Run(k.String(), func(b *testing.B) {
-			m := newKernelMatcher(plan, chronon.MaskIntersects, k, outer)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lo := (i * batch) % len(inner)
-				hi := lo + batch
-				if hi > len(inner) {
-					hi = len(inner)
-				}
-				if err := m.probeBatch(inner[lo:hi], sinkFn); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchProbeBatch(b, newPredMatcher(plan, chronon.MaskIntersects, outer), inner)
 }

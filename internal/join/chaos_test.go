@@ -32,11 +32,17 @@ import (
 // reuse them.
 
 // chaosCombo is one engine configuration under chaos: an algorithm, an
-// execution mode and a matching kernel.
+// execution mode and a matching route, chosen by the workload's keys
+// (testutil.Route).
 type chaosCombo struct {
 	algo       string
 	sequential bool
-	kernel     Kernel
+	route      testutil.Route
+}
+
+// inputs returns the combo's version of the workload pair.
+func (cc chaosCombo) inputs(rTuples, sTuples []tuple.Tuple) ([]tuple.Tuple, []tuple.Tuple) {
+	return cc.route.Keys(rTuples, 0), cc.route.Keys(sTuples, 0)
 }
 
 func (cc chaosCombo) String() string {
@@ -44,15 +50,15 @@ func (cc chaosCombo) String() string {
 	if cc.sequential {
 		mode = "sequential"
 	}
-	return fmt.Sprintf("%s/%s/%s", cc.algo, mode, cc.kernel)
+	return fmt.Sprintf("%s/%s/%s", cc.algo, mode, cc.route)
 }
 
 func chaosCombos() []chaosCombo {
 	var out []chaosCombo
 	for _, algo := range []string{"nested-loop", "sort-merge", "partition"} {
 		for _, seq := range []bool{false, true} {
-			for _, k := range []Kernel{KernelSweep, KernelScan} {
-				out = append(out, chaosCombo{algo: algo, sequential: seq, kernel: k})
+			for _, rt := range testutil.Routes {
+				out = append(out, chaosCombo{algo: algo, sequential: seq, route: rt})
 			}
 		}
 	}
@@ -68,18 +74,18 @@ func runChaos(ctx context.Context, cc chaosCombo, r, s *relation.Relation, tr *t
 	case "nested-loop":
 		_, err = NestedLoop(r, s, &sink, Config{
 			Ctx: ctx, MemoryPages: memoryPages,
-			Sequential: cc.sequential, Kernel: cc.kernel, Tracer: tr,
+			Sequential: cc.sequential, Tracer: tr,
 		})
 	case "sort-merge":
 		_, _, err = SortMerge(r, s, &sink, Config{
 			Ctx: ctx, MemoryPages: memoryPages,
-			Sequential: cc.sequential, Kernel: cc.kernel, Tracer: tr,
+			Sequential: cc.sequential, Tracer: tr,
 		})
 	case "partition":
 		_, _, err = Partition(r, s, &sink, Config{
 			Ctx: ctx, MemoryPages: memoryPages,
 			Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(99)),
-			Sequential: cc.sequential, Kernel: cc.kernel, Tracer: tr,
+			Sequential: cc.sequential, Tracer: tr,
 		})
 	default:
 		panic("unknown algorithm " + cc.algo)
@@ -136,7 +142,7 @@ func assertCleanAbort(t *testing.T, d *disk.Disk, tr *trace.Tracer, before []dis
 }
 
 // TestChaosMidQueryAbort is the chaos matrix: every algorithm ×
-// execution mode × kernel, aborted by cancellation and by deadline
+// execution mode × matching route, aborted by cancellation and by deadline
 // expiry at seeded random points of its own I/O schedule.
 func TestChaosMidQueryAbort(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
@@ -146,6 +152,7 @@ func TestChaosMidQueryAbort(t *testing.T) {
 	for _, cc := range chaosCombos() {
 		cc := cc
 		t.Run(cc.String(), func(t *testing.T) {
+			rTuples, sTuples := cc.inputs(rTuples, sTuples)
 			testutil.VerifyNoLeaks(t)
 			_, schedule := chaosBaseline(t, cc, rTuples, sTuples)
 
@@ -204,6 +211,7 @@ func TestChaosPermanentFaultAbort(t *testing.T) {
 	for _, cc := range chaosCombos() {
 		cc := cc
 		t.Run(cc.String(), func(t *testing.T) {
+			rTuples, sTuples := cc.inputs(rTuples, sTuples)
 			testutil.VerifyNoLeaks(t)
 			_, schedule := chaosBaseline(t, cc, rTuples, sTuples)
 
@@ -272,6 +280,7 @@ func TestChaosHookedDeviceIsTransparent(t *testing.T) {
 	for _, cc := range chaosCombos() {
 		cc := cc
 		t.Run(cc.String(), func(t *testing.T) {
+			rTuples, sTuples := cc.inputs(rTuples, sTuples)
 			plain := disk.New(page.DefaultSize)
 			want, err := runChaos(nil, cc,
 				load(t, plain, empSchema, rTuples),

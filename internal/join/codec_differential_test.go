@@ -10,6 +10,7 @@ import (
 	"vtjoin/internal/cost"
 	"vtjoin/internal/disk"
 	"vtjoin/internal/page"
+	"vtjoin/internal/testutil"
 	"vtjoin/internal/tuple"
 )
 
@@ -26,7 +27,7 @@ var codecPredicates = map[string]Predicate{
 	"during-only":  chronon.MaskOf(chronon.RelDuring, chronon.RelContains),
 }
 
-// codecCell is one (format, algorithm, kernel, predicate) execution:
+// codecCell is one (format, algorithm, route, predicate) execution:
 // the canonicalized results as encoded bytes (so the comparison is
 // byte-level, not merely structural) and the per-phase I/O counters.
 type codecCell struct {
@@ -46,7 +47,7 @@ func (c codecCell) pageTotal() int64 {
 // runCodecCell loads the workload pair onto a fresh device carrying
 // the given page format and runs one algorithm sequentially (so the
 // per-phase counters are deterministic).
-func runCodecCell(t *testing.T, format page.Format, algo string, kernel Kernel, pred Predicate, rTuples, sTuples []tuple.Tuple) codecCell {
+func runCodecCell(t *testing.T, format page.Format, algo string, pred Predicate, rTuples, sTuples []tuple.Tuple) codecCell {
 	t.Helper()
 	d := disk.New(page.DefaultSize)
 	d.SetPageFormat(format)
@@ -61,24 +62,24 @@ func runCodecCell(t *testing.T, format page.Format, algo string, kernel Kernel, 
 	case "nested-loop":
 		rep, err = NestedLoop(r, s, &sink, Config{
 			MemoryPages: memoryPages, Sequential: true,
-			TimePredicate: pred, Kernel: kernel,
+			TimePredicate: pred,
 		})
 	case "sort-merge":
 		rep, _, err = SortMerge(r, s, &sink, Config{
 			MemoryPages: memoryPages, Sequential: true,
-			TimePredicate: pred, Kernel: kernel,
+			TimePredicate: pred,
 		})
 	case "partition":
 		rep, _, err = Partition(r, s, &sink, Config{
 			MemoryPages: memoryPages, Sequential: true,
 			Weights: cost.Ratio(5), Rng: rand.New(rand.NewSource(77)),
-			TimePredicate: pred, Kernel: kernel,
+			TimePredicate: pred,
 		})
 	default:
 		panic("unknown algorithm " + algo)
 	}
 	if err != nil {
-		t.Fatalf("%s/%s/%s: %v", format, algo, kernel, err)
+		t.Fatalf("%s/%s: %v", format, algo, err)
 	}
 	Canonicalize(sink.tuples)
 	cell := codecCell{phases: rep.Phases}
@@ -116,8 +117,9 @@ func assertBytesIdentical(t *testing.T, label string, got, want codecCell) {
 }
 
 // TestCodecDifferentialMatrix is the page-format differential over the
-// full evaluation surface: every algorithm × kernel × predicate mask
-// runs three times — twice under v1 and once under v2.
+// full evaluation surface: every algorithm × matching route ×
+// predicate mask runs three times — twice under v1 and once under v2.
+// The route is chosen by the workload's keys (testutil.Route).
 //
 //   - The v1 pair must agree exactly: byte-identical results AND
 //     identical per-phase page counters, pinning the engine as
@@ -129,16 +131,17 @@ func assertBytesIdentical(t *testing.T, label string, got, want codecCell) {
 func TestCodecDifferentialMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(2094))
 	w := workload{keys: 10, n: 260, longEvery: 4, lifespan: 6000}
-	rTuples := w.generate(rng, 1)
-	sTuples := w.generate(rng, 2)
+	rDense := w.generate(rng, 1)
+	sDense := w.generate(rng, 2)
 
 	for _, algo := range []string{"nested-loop", "sort-merge", "partition"} {
-		for _, kernel := range []Kernel{KernelSweep, KernelScan} {
+		for _, route := range testutil.Routes {
+			rTuples, sTuples := route.Keys(rDense, 0), route.Keys(sDense, 0)
 			for name, pred := range codecPredicates {
-				t.Run(fmt.Sprintf("%s/%s/%s", algo, kernel, name), func(t *testing.T) {
-					v1a := runCodecCell(t, page.FormatV1, algo, kernel, pred, rTuples, sTuples)
-					v1b := runCodecCell(t, page.FormatV1, algo, kernel, pred, rTuples, sTuples)
-					v2 := runCodecCell(t, page.FormatV2, algo, kernel, pred, rTuples, sTuples)
+				t.Run(fmt.Sprintf("%s/%s/%s", algo, route, name), func(t *testing.T) {
+					v1a := runCodecCell(t, page.FormatV1, algo, pred, rTuples, sTuples)
+					v1b := runCodecCell(t, page.FormatV1, algo, pred, rTuples, sTuples)
+					v2 := runCodecCell(t, page.FormatV2, algo, pred, rTuples, sTuples)
 
 					if len(v1a.results) == 0 && name == "intersects" {
 						t.Fatal("intersects produced no results — the workload is degenerate")

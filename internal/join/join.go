@@ -47,59 +47,25 @@ func normalizePredicate(p Predicate) (Predicate, error) {
 	return p, nil
 }
 
-// Kernel selects the CPU kernel that matches an outer batch against
-// inner tuples inside every join algorithm.
+// Kernel is kept for the perfbench module, which passes KernelSweep to
+// NewMatcher. There is one matching kernel; NewMatcher ignores the
+// argument.
 type Kernel uint8
 
-const (
-	// KernelDefault resolves to KernelSweep.
-	KernelDefault Kernel = iota
-	// KernelSweep is the sweeping interval-join kernel: when an inner
-	// batch is processed it is endpoint-sorted and joined against the
-	// start-ordered outer batch by a forward plane sweep with gapless
-	// active-tuple lists per join-key bucket (after Piatov et al.,
-	// "Cache-Efficient Sweeping-Based Interval Joins"). Each output
-	// pair is touched O(1) amortized times instead of rescanning dead
-	// outer tuples per probe. Results and I/O counters are identical to
-	// KernelScan; only CPU time differs.
-	KernelSweep
-	// KernelScan is the per-probe kernel: each inner tuple hashes its
-	// join key and scans the whole matching outer bucket (or, for pure
-	// time-joins, the start-ordered prefix of the outer batch). It is
-	// the baseline the sweep kernel is benchmarked against.
-	KernelScan
-)
-
-// String names the kernel.
-func (k Kernel) String() string {
-	switch k.resolve() {
-	case KernelScan:
-		return "scan"
-	default:
-		return "sweep"
-	}
-}
-
-// resolve applies the default.
-func (k Kernel) resolve() Kernel {
-	if k == KernelDefault {
-		return KernelSweep
-	}
-	return k
-}
+// KernelSweep is the only Kernel value.
+const KernelSweep Kernel = 1
 
 // matcher joins a fixed batch of outer tuples against inner tuples.
 // When the join has explicit attributes it hash-indexes the outer
 // batch by join key; a degenerate pure time-join (no shared
 // attributes) instead orders the batch by start time. Inner tuples
-// arrive either one at a time (probeIdx — the scan kernel's hash
-// path) or as a batch (probeBatch — which the sweep kernel
-// endpoint-sorts and joins by plane sweep).
+// arrive either one at a time (probeIdx, the hash path) or as a batch
+// (probeBatch, which endpoint-sorts the batch and joins it by plane
+// sweep unless the cost guard sends it to per-tuple probing).
 type matcher struct {
-	plan   *schema.JoinPlan
-	pred   Predicate // non-zero, intersection-implying
-	kernel Kernel    // resolved: KernelSweep or KernelScan
-	outer  []tuple.Tuple
+	plan  *schema.JoinPlan
+	pred  Predicate // non-zero, intersection-implying
+	outer []tuple.Tuple
 	// byKey indexes outer positions by join-key hash (non-empty key);
 	// keys counts its non-empty buckets (distinct key hashes of the
 	// current outer batch).
@@ -107,10 +73,10 @@ type matcher struct {
 	keys  int
 	// outerHash holds the per-position join-key hashes of the outer
 	// batch (non-empty key), computed once per reset and reused by
-	// every kernel instead of re-hashing per probe.
+	// both routes instead of re-hashing per probe.
 	outerHash []uint64
 	// byStart orders outer positions by V.Start (pure time-join, and
-	// the sweep kernel's outer event sequence). For keyed matchers it
+	// the sweep's outer event sequence). For keyed matchers it
 	// is built lazily on the first batch the sweep accepts, so batches
 	// the cost guard routes to hash probing never pay the sort.
 	byStart      []int32
@@ -119,27 +85,17 @@ type matcher struct {
 	sw           sweepScratch
 	// sweepBatches / probeBatches count probeBatch's kernel decisions
 	// over the matcher's lifetime (across resets): batches handled by
-	// the plane sweep vs. per-tuple hash/scan probing. The trace layer
+	// the plane sweep vs. per-tuple hash probing. The trace layer
 	// surfaces them so the sweepWorthKeyed cost guard is observable.
 	sweepBatches int64
 	probeBatches int64
 }
 
-func newMatcher(plan *schema.JoinPlan, outer []tuple.Tuple) *matcher {
-	return newPredMatcher(plan, chronon.MaskIntersects, outer)
-}
-
 func newPredMatcher(plan *schema.JoinPlan, pred Predicate, outer []tuple.Tuple) *matcher {
-	return newKernelMatcher(plan, pred, KernelDefault, outer)
-}
-
-func newKernelMatcher(plan *schema.JoinPlan, pred Predicate, kernel Kernel, outer []tuple.Tuple) *matcher {
-	m := &matcher{plan: plan, pred: pred, kernel: kernel.resolve()}
+	m := &matcher{plan: plan, pred: pred}
 	if len(plan.LeftJoinIdx) > 0 {
 		m.byKey = make(map[uint64][]int32, len(outer))
-		if m.kernel == KernelSweep {
-			m.sw.init()
-		}
+		m.sw.init()
 	}
 	m.reset(outer)
 	return m
@@ -226,20 +182,19 @@ func (m *matcher) probe(y tuple.Tuple, emit func(tuple.Tuple) error) error {
 }
 
 // probeBatch joins a batch of inner tuples (typically one page's
-// worth) against the outer batch. The sweep kernel endpoint-sorts the
-// batch and plane-sweeps it against the start-ordered outer batch; the
-// scan kernel probes tuple by tuple in batch order. Both emit exactly
-// the pairs probeIdx would emit, possibly in a different order.
+// worth) against the outer batch. It endpoint-sorts the batch and
+// plane-sweeps it against the start-ordered outer batch, unless
+// sweepWorthKeyed sends a keyed batch to per-tuple probing in batch
+// order. Both routes emit exactly the pairs probeIdx would emit,
+// possibly in a different order.
 func (m *matcher) probeBatch(ys []tuple.Tuple, emit func(outerIdx int32, z tuple.Tuple) error) error {
-	if m.kernel == KernelSweep {
-		if !m.keyed() {
-			m.sweepBatches++
-			return m.sweepTime(ys, emit)
-		}
-		if m.sweepWorthKeyed(len(ys)) {
-			m.sweepBatches++
-			return m.sweepKeyed(ys, emit)
-		}
+	if !m.keyed() {
+		m.sweepBatches++
+		return m.sweepTime(ys, emit)
+	}
+	if m.sweepWorthKeyed(len(ys)) {
+		m.sweepBatches++
+		return m.sweepKeyed(ys, emit)
 	}
 	m.probeBatches++
 	for i := range ys {

@@ -215,7 +215,7 @@ func TestMatcherEquivalentToBruteForce(t *testing.T) {
 	outer := w.generate(rng, 1)
 	inner := w.generate(rng, 2)
 
-	m := newMatcher(plan, outer)
+	m := newPredMatcher(plan, chronon.MaskIntersects, outer)
 	var got []tuple.Tuple
 	for _, y := range inner {
 		if err := m.probe(y, func(z tuple.Tuple) error {
@@ -246,7 +246,7 @@ func TestMatcherTimeJoinPath(t *testing.T) {
 		s2 := chronon.Chronon(rng.Intn(100))
 		inner = append(inner, tuple.New(chronon.New(s2, s2+chronon.Chronon(rng.Intn(30))), value.Int(int64(1000+i))))
 	}
-	m := newMatcher(plan, outer)
+	m := newPredMatcher(plan, chronon.MaskIntersects, outer)
 	var got []tuple.Tuple
 	for _, y := range inner {
 		if err := m.probe(y, func(z tuple.Tuple) error {

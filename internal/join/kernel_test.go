@@ -11,6 +11,8 @@ import (
 	"vtjoin/internal/page"
 	"vtjoin/internal/relation"
 	"vtjoin/internal/schema"
+	"vtjoin/internal/testutil"
+	"vtjoin/internal/trace"
 	"vtjoin/internal/tuple"
 	"vtjoin/internal/value"
 )
@@ -52,7 +54,7 @@ func TestSweepKeyedPropertyVsOracle(t *testing.T) {
 		for name, pred := range kernelPreds {
 			t.Run(fmt.Sprintf("trial%d/%s", trial, name), func(t *testing.T) {
 				want := ReferencePred(plan, pred, outer, inner)
-				m := newKernelMatcher(plan, pred, KernelSweep, outer)
+				m := newPredMatcher(plan, pred, outer)
 				var got []tuple.Tuple
 				collect := func(_ int32, z tuple.Tuple) error {
 					got = append(got, z)
@@ -72,7 +74,7 @@ func TestSweepKeyedPropertyVsOracle(t *testing.T) {
 
 				// The guard-integrated batch path must agree too,
 				// whichever kernel it routes each batch to.
-				m2 := newKernelMatcher(plan, pred, KernelSweep, outer)
+				m2 := newPredMatcher(plan, pred, outer)
 				var got2 []tuple.Tuple
 				err := m2.probeBatch(inner, func(_ int32, z tuple.Tuple) error {
 					got2 = append(got2, z)
@@ -113,7 +115,7 @@ func TestSweepTimePropertyVsOracle(t *testing.T) {
 		for name, pred := range kernelPreds {
 			t.Run(fmt.Sprintf("trial%d/%s", trial, name), func(t *testing.T) {
 				want := ReferencePred(plan, pred, outer, inner)
-				m := newKernelMatcher(plan, pred, KernelSweep, outer)
+				m := newPredMatcher(plan, pred, outer)
 				var got []tuple.Tuple
 				collect := func(_ int32, z tuple.Tuple) error {
 					got = append(got, z)
@@ -135,82 +137,100 @@ func TestSweepTimePropertyVsOracle(t *testing.T) {
 	}
 }
 
-// TestKernelsIdenticalResultsAndIO is the PR's central invariant: the
-// kernel switch is CPU-only. Every algorithm runs under KernelScan and
-// KernelSweep on identically built inputs, and both the device
-// counters (every field) and the canonicalized results must match
-// exactly. The workload's repeated keys and long-lived tuples push the
-// sort-merge live windows past the live-index activation threshold, so
-// the indexed merge path is exercised here too.
+// TestKernelsIdenticalResultsAndIO covers both routes of the matching
+// kernel inside the real engines, with no switch to force either: the
+// cost guard picks the plane sweep or per-tuple probing from the
+// input. Every algorithm runs the dense-key workload and its
+// unique-key twin (testutil.RouteScan). The dense workload's repeated
+// keys and long-lived tuples also push the sort-merge live windows past
+// the live-index activation threshold. Each run must equal the
+// ReferencePred oracle. Both runs must move the device counters
+// identically, because the route is CPU-only and the twins share
+// timestamps and encoded sizes. The partition and nested-loop traces
+// must show the dense run sweeping and the unique-key run probing only
+// per tuple; sort-merge must index its live windows on the dense run
+// only.
 func TestKernelsIdenticalResultsAndIO(t *testing.T) {
 	w := workload{keys: 24, n: 2500, longEvery: 6, lifespan: 200000}
 	rng := rand.New(rand.NewSource(88))
-	rTuples := w.generate(rng, 0)
-	sTuples := w.generate(rng, 1)
+	rDense := w.generate(rng, 0)
+	sDense := w.generate(rng, 1)
+	plan, err := schema.PlanNaturalJoin(empSchema, deptSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	type outcome struct {
-		counters disk.Counters
-		results  []tuple2
+		counters            disk.Counters
+		sweeps, probes      int64
+		liveIndexActivation int64
 	}
-	run := func(algo string, k Kernel) outcome {
+	run := func(algo string, route testutil.Route) outcome {
 		t.Helper()
+		rTuples, sTuples := route.Keys(rDense, 0), route.Keys(sDense, 0)
 		d := disk.New(page.DefaultSize)
 		r := load(t, d, empSchema, rTuples)
 		s := load(t, d, deptSchema, sTuples)
 		d.ResetCounters()
+		tr := trace.New(d, algo, trace.Options{})
 		var sink relation.CollectSink
+		var out outcome
 		switch algo {
 		case "partition":
-			_, _, err := Partition(r, s, &sink, Config{
+			_, _, err = Partition(r, s, &sink, Config{
 				MemoryPages: 16,
 				Weights:     cost.Ratio(5),
 				Rng:         rand.New(rand.NewSource(3)),
-				Kernel:      k,
+				Tracer:      tr,
 			})
-			if err != nil {
-				t.Fatalf("%s kernel=%v: %v", algo, k, err)
-			}
 		case "nested-loop":
-			_, err := NestedLoop(r, s, &sink, Config{
-				MemoryPages: 16,
-				Kernel:      k,
-			})
-			if err != nil {
-				t.Fatalf("%s kernel=%v: %v", algo, k, err)
-			}
+			_, err = NestedLoop(r, s, &sink, Config{MemoryPages: 16, Tracer: tr})
 		case "sort-merge":
-			_, _, err := SortMerge(r, s, &sink, Config{
-				MemoryPages: 16,
-				Kernel:      k,
-			})
-			if err != nil {
-				t.Fatalf("%s kernel=%v: %v", algo, k, err)
+			var st *SortMergeStats
+			_, st, err = SortMerge(r, s, &sink, Config{MemoryPages: 16, Tracer: tr})
+			if st != nil {
+				out.liveIndexActivation = st.LiveIndexActivations
 			}
 		}
-		Canonicalize(sink.Tuples)
-		out := outcome{counters: d.Counters()}
-		for _, z := range sink.Tuples {
-			out.results = append(out.results, tuple2{z.String(), z.V})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", algo, route, err)
+		}
+		out.counters = d.Counters()
+		want := ReferencePred(plan, chronon.MaskIntersects, rTuples, sTuples)
+		if len(want) == 0 {
+			t.Fatalf("%s/%s: empty oracle result exercises nothing", algo, route)
+		}
+		assertSameResult(t, fmt.Sprintf("%s/%s", algo, route), sink.Tuples, want)
+		root, err := tr.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j := root.Find("join"); j != nil {
+			out.sweeps, _ = j.Attrs["kernelSweepBatches"].(int64)
+			out.probes, _ = j.Attrs["kernelProbeBatches"].(int64)
 		}
 		return out
 	}
 
 	for _, algo := range []string{"partition", "nested-loop", "sort-merge"} {
-		scan := run(algo, KernelScan)
-		sweep := run(algo, KernelSweep)
-		if sweep.counters != scan.counters {
-			t.Fatalf("%s: sweep counters %v != scan %v", algo, sweep.counters, scan.counters)
+		dense := run(algo, testutil.RouteSweep)
+		unique := run(algo, testutil.RouteScan)
+		if dense.counters != unique.counters {
+			t.Errorf("%s: I/O depends on the route: dense %+v, unique-key %+v", algo, dense.counters, unique.counters)
 		}
-		if len(sweep.results) != len(scan.results) {
-			t.Fatalf("%s: sweep produced %d results, scan %d", algo, len(sweep.results), len(scan.results))
-		}
-		for i := range scan.results {
-			if sweep.results[i] != scan.results[i] {
-				t.Fatalf("%s: result %d differs:\n sweep %v\n scan  %v", algo, i, sweep.results[i], scan.results[i])
+		if algo == "sort-merge" {
+			if dense.liveIndexActivation == 0 || unique.liveIndexActivation != 0 {
+				t.Errorf("sort-merge live-index activations: dense %d (want > 0), unique-key %d (want 0)",
+					dense.liveIndexActivation, unique.liveIndexActivation)
 			}
+			continue
 		}
-		if len(scan.results) == 0 {
-			t.Fatalf("%s: empty result set exercises nothing", algo)
+		if dense.sweeps == 0 {
+			t.Errorf("%s: dense run never swept (%d sweeps, %d per-tuple batches)", algo, dense.sweeps, dense.probes)
+		}
+		if unique.sweeps != 0 || unique.probes == 0 {
+			t.Errorf("%s: unique-key run made %d sweeps and %d per-tuple batches, want only per-tuple",
+				algo, unique.sweeps, unique.probes)
 		}
 	}
 }
@@ -286,7 +306,7 @@ func TestSweepGuardRoutesByKeyDensity(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	dense := workload{keys: 1, n: 512, longEvery: 2, lifespan: 1000}.generate(rng, 1)
-	m := newKernelMatcher(plan, chronon.MaskIntersects, KernelSweep, dense)
+	m := newPredMatcher(plan, chronon.MaskIntersects, dense)
 	if !m.sweepWorthKeyed(64) {
 		t.Fatal("single-key batch did not route to the sweep")
 	}

@@ -44,11 +44,10 @@ func NestedLoop(r, s *relation.Relation, sink relation.Sink, cfg Config) (*cost.
 	tr.Begin("join")
 	tr.SetAttr("blockPages", blockPages)
 	tr.SetAttr("prefetchDepth", depth)
-	tr.SetAttr("kernel", cfg.Kernel.String())
 
 	// The outer batch and matcher reuse their allocations across blocks.
 	var outer []tuple.Tuple
-	m := newKernelMatcher(plan, pred, cfg.Kernel, nil)
+	m := newPredMatcher(plan, pred, nil)
 	for lo := 0; lo < rPages; lo += blockPages {
 		if err := execctx.Check(cfg.Ctx, "join: nested loop"); err != nil {
 			return nil, err

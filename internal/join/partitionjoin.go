@@ -137,8 +137,7 @@ func Partition(r, s *relation.Relation, sink relation.Sink, cfg Config) (*cost.R
 	depth := cfg.prefetchDepth()
 	tr.Begin("join")
 	tr.SetAttr("prefetchDepth", depth)
-	tr.SetAttr("kernel", cfg.Kernel.String())
-	if err := joinPartitions(cfg.Ctx, plan, pred, cfg.Kernel, d, parting, rp, sp, sink, cfg.LeftFragments, cfg.MemoryPages, depth, stats, tr); err != nil {
+	if err := joinPartitions(cfg.Ctx, plan, pred, d, parting, rp, sp, sink, cfg.LeftFragments, cfg.MemoryPages, depth, stats, tr); err != nil {
 		return nil, nil, err
 	}
 	if err := sink.Flush(); err != nil {
@@ -369,7 +368,7 @@ func (c *tupleCache) drop() error {
 // cache join to new outer tuples removes the duplicates without losing
 // any pair: the pair (x, y) is produced exactly at
 // i = min(last(x), last(y)), where at least one side is new.)
-func joinPartitions(ctx context.Context, plan *schema.JoinPlan, pred Predicate, kernel Kernel, d *disk.Disk, parting partition.Partitioning,
+func joinPartitions(ctx context.Context, plan *schema.JoinPlan, pred Predicate, d *disk.Disk, parting partition.Partitioning,
 	rp, sp *partition.Partitioned, sink relation.Sink, leftFrag relation.Sink, memoryPages, depth int, stats *PartitionStats, tr *trace.Tracer) error {
 
 	budget := buffer.MustBudget(memoryPages)
@@ -429,8 +428,8 @@ func joinPartitions(ctx context.Context, plan *schema.JoinPlan, pred Predicate, 
 	// The matchers and the spill staging slice are rebuilt every
 	// partition but reuse their allocations (hash buckets, index
 	// slices) across iterations.
-	matchNew := newKernelMatcher(plan, pred, kernel, nil)
-	matchAll := newKernelMatcher(plan, pred, kernel, nil)
+	matchNew := newPredMatcher(plan, pred, nil)
+	matchAll := newPredMatcher(plan, pred, nil)
 	var spillFileTuples []tuple.Tuple
 
 	for i := n - 1; i >= 0; i-- {
@@ -531,7 +530,8 @@ func joinPartitions(ctx context.Context, plan *schema.JoinPlan, pred Predicate, 
 
 		// The probes are CPU-only and the retains run afterwards in the
 		// same storage order as before, so the cache's page packing —
-		// and with it every I/O counter — is independent of the kernel.
+		// and with it every I/O counter — is independent of the
+		// matching route.
 		for _, group := range [][]tuple.Tuple{memCached, spillFileTuples} {
 			if err := matchNew.probeBatch(group, emitNew); err != nil {
 				return err

@@ -43,7 +43,7 @@ func (a Algorithm) String() string {
 
 // Config configures one join evaluation, whichever algorithm runs it.
 // Every algorithm reads Ctx, MemoryPages, TimePredicate, Plan,
-// Sequential, Kernel and Tracer. Weights, Rng, CandidateStep and
+// Sequential and Tracer. Weights, Rng, CandidateStep and
 // Partitioning are the partition join's planner inputs; only the
 // partition join reads them. LeftFragments is honoured by the
 // partition and nested-loop joins; sort-merge refuses it.
@@ -108,9 +108,6 @@ type Config struct {
 	// tests and for fault plans whose count-based triggers depend on
 	// the global operation order.
 	Sequential bool
-	// Kernel selects the in-memory matching kernel (default: sweep).
-	// Results and I/O counters are identical across kernels.
-	Kernel Kernel
 	// Tracer, when non-nil, records per-phase spans (per partition,
 	// outer block, sort pass and merge), the planner's candidate cost
 	// curve, tuple-cache volumes and kernel-guard decisions, and (with

@@ -23,7 +23,7 @@ type SortMergeStats struct {
 	InnerPageRereads int64 // spill-file fetches (pages revisited after eviction)
 	SpillPagesPeak   int   // largest spill file seen, in pages
 	// LiveIndexActivations counts how often a live window's key index
-	// switched on (the sweep kernel's window-size/key-repetition guard).
+	// switched on (its window-size/key-repetition guard).
 	LiveIndexActivations int64
 }
 
@@ -86,7 +86,6 @@ func SortMerge(r, s *relation.Relation, sink relation.Sink, cfg Config) (*cost.R
 		ctx:        cfg.Ctx,
 		plan:       plan,
 		pred:       pred,
-		kernel:     cfg.Kernel.resolve(),
 		d:          d,
 		sink:       sink,
 		stats:      stats,
@@ -103,8 +102,8 @@ func SortMerge(r, s *relation.Relation, sink relation.Sink, cfg Config) (*cost.R
 		_ = m.dropSpill(m.sides[0])
 		_ = m.dropSpill(m.sides[1])
 	}()
-	if m.kernel == KernelSweep && len(plan.LeftJoinIdx) > 0 {
-		// The sweep kernel buckets each live window by join-key hash so
+	if len(plan.LeftJoinIdx) > 0 {
+		// A keyed join buckets each live window by join-key hash so
 		// a merge step probes only its own key's bucket instead of
 		// scanning the whole window. The pruning, eviction, and spill
 		// bookkeeping — everything that determines I/O — is untouched.
@@ -118,7 +117,6 @@ func SortMerge(r, s *relation.Relation, sink relation.Sink, cfg Config) (*cost.R
 	if err := sink.Flush(); err != nil {
 		return nil, nil, err
 	}
-	tr.SetAttr("kernel", cfg.Kernel.String())
 	tr.SetAttr("liveBudgetBytes", liveBudget)
 	tr.SetAttr("inputPageReads", stats.InnerPageReads)
 	tr.SetAttr("spillPageRereads", stats.InnerPageRereads)
@@ -150,8 +148,8 @@ type mergeSide struct {
 	// other side may still match.
 	live      []tuple.Tuple
 	liveBytes int
-	// liveIdx, under the sweep kernel of a keyed join, buckets the live
-	// window by join-key hash with lazy gapless compaction. It lags
+	// liveIdx, for a keyed join, buckets the live window by join-key
+	// hash with lazy gapless compaction. It lags
 	// behind prune (pruned tuples linger in their buckets until a probe
 	// walks past them — the probe horizon also excludes them, so they
 	// can never emit) and is rebuilt after evictions, which remove
@@ -221,7 +219,6 @@ type merger struct {
 	ctx        context.Context
 	plan       *schema.JoinPlan
 	pred       Predicate
-	kernel     Kernel // resolved
 	d          *disk.Disk
 	sink       relation.Sink
 	stats      *SortMergeStats
@@ -314,9 +311,9 @@ func (m *merger) step(b int) error {
 
 	other.retireIndexIfSmall()
 
-	// Probe the other side's in-memory live window: the sweep kernel
-	// touches only z's key bucket (compacting it in place); the scan
-	// kernel walks the whole window.
+	// Probe the other side's in-memory live window: an active index
+	// touches only z's key bucket (compacting it in place); otherwise
+	// the probe walks the whole window.
 	if other.idxActive {
 		keyIdx := m.plan.LeftJoinIdx
 		if b == 1 {

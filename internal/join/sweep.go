@@ -1,12 +1,11 @@
-// The sweeping interval-join kernel (KernelSweep).
+// The sweeping interval-join kernel.
 //
 // Both algorithms that funnel through the matcher — and the sort-merge
 // live windows, which have their own structure below — spend their CPU
-// matching an outer batch against streams of inner tuples. The scan
-// kernel probes per inner tuple: hash the key, walk the whole outer
-// bucket (or, for pure time-joins, rescan the start-ordered outer
-// prefix). The sweep kernel instead processes an inner batch as one
-// forward plane sweep over the start-ordered event sequences of both
+// matching an outer batch against streams of inner tuples. Probing per
+// inner tuple would hash the key and walk the whole outer bucket (or,
+// for pure time-joins, rescan the start-ordered outer prefix). The
+// sweep instead processes an inner batch as one forward plane sweep over the start-ordered event sequences of both
 // sides, keeping gapless, cache-friendly active-tuple lists per
 // join-key bucket (after Piatov, Helmer, Dignös & Persia,
 // "Cache-Efficient Sweeping-Based Interval Joins", PAPERS.md): a tuple
@@ -15,9 +14,10 @@
 // O(1) amortized work and dead outer tuples are never rescanned.
 //
 // The kernel is CPU-only: it performs no I/O and emits exactly the
-// pairs the scan kernel emits (in a different order), so results and
-// I/O counters are byte-identical across kernels — the determinism
-// tests assert it.
+// pairs per-tuple probing (probeIdx) emits, in a different order. The
+// cost guard (sweepWorthKeyed) sends batches where a sweep would not
+// pay to probeIdx instead; results and I/O counters do not depend on
+// the route — the tests assert it.
 package join
 
 import (
@@ -201,9 +201,9 @@ func (m *matcher) sweepKeyed(ys []tuple.Tuple, emit func(outerIdx int32, z tuple
 // sweepTime is sweepKeyed for the pure time-join (no shared
 // attributes): one flat active list per side instead of key buckets.
 // Every surviving active tuple overlaps the probing tuple, so each
-// output pair is touched exactly once — where the scan kernel rescans
-// the start-ordered outer prefix from the beginning for every inner
-// tuple.
+// output pair is touched exactly once — where per-tuple probing
+// rescans the start-ordered outer prefix from the beginning for every
+// inner tuple.
 func (m *matcher) sweepTime(ys []tuple.Tuple, emit func(outerIdx int32, z tuple.Tuple) error) error {
 	sw := &m.sw
 	sw.begin(ys, false, nil)
@@ -285,7 +285,7 @@ func (m *matcher) sweepTime(ys []tuple.Tuple, emit func(outerIdx int32, z tuple.
 	}
 }
 
-// liveIndex is the sweep kernel's view of a sort-merge live window
+// liveIndex is the keyed view of a sort-merge live window
 // (sortmerge.go): the window's tuples bucketed by join-key hash, so a
 // probing tuple touches only its own key's bucket instead of scanning
 // the whole window. The merge consumes tuples in global start order,

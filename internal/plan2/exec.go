@@ -211,7 +211,6 @@ func joinIter(cfg Config, n *JoinNode) *Iterator {
 					Weights:       cost.Ratio(cfg.RandomCost),
 					Seed:          cfg.Seed,
 					TimePredicate: n.Mask,
-					Kernel:        n.Kernel,
 					Tracer:        cfg.Tracer,
 				})
 				return err
@@ -222,7 +221,6 @@ func joinIter(cfg Config, n *JoinNode) *Iterator {
 				Weights:       cost.Ratio(cfg.RandomCost),
 				Rng:           rand.New(rand.NewSource(cfg.Seed)),
 				TimePredicate: n.Mask,
-				Kernel:        n.Kernel,
 				Tracer:        cfg.Tracer,
 			})
 			return err

@@ -108,7 +108,6 @@ type JoinNode struct {
 	Left, Right Node
 	Plan        *schema.JoinPlan
 	Algorithm   join.Algorithm
-	Kernel      join.Kernel
 	Mask        chronon.Mask
 	// Shards > 1 time-shards the join across private devices.
 	Shards int
@@ -249,7 +248,6 @@ func (b *binder) stage(input Node, st query.Stage) (Node, error) {
 		}
 		n := &JoinNode{
 			Left: input, Right: right, Plan: plan,
-			Kernel: join.KernelSweep,
 			Mask:   chronon.MaskIntersects,
 			Shards: s.Hints.Shards,
 			Memory: s.Hints.Memory,
@@ -261,9 +259,6 @@ func (b *binder) stage(input Node, st query.Stage) (Node, error) {
 					Msg: fmt.Sprintf("join: unknown algorithm %q", h)}
 			}
 			n.Algorithm = join.Algorithm(i)
-		}
-		if s.Hints.Kernel == "scan" {
-			n.Kernel = join.KernelScan
 		}
 		switch s.Hints.Predicate {
 		case "", "intersects":

@@ -233,9 +233,9 @@ func workloadPair(t *testing.T, d *disk.Disk) (*relation.Relation, *relation.Rel
 	return gen("a", 7), gen("b", 8)
 }
 
-// TestJoinMatchesDirect is the differential core: every algorithm ×
-// kernel through the query path must produce exactly the tuple multiset
-// the join machinery produces when driven directly.
+// TestJoinMatchesDirect is the differential core: every algorithm
+// through the query path must produce exactly the tuple multiset the
+// join machinery produces when driven directly.
 func TestJoinMatchesDirect(t *testing.T) {
 	d := disk.New(1024)
 	r, s := workloadPair(t, d)
@@ -244,7 +244,7 @@ func TestJoinMatchesDirect(t *testing.T) {
 
 	var want relation.CollectSink
 	if _, err := join.NestedLoop(r, s, &want, join.Config{
-		MemoryPages: 16, TimePredicate: chronon.MaskIntersects, Kernel: join.KernelSweep,
+		MemoryPages: 16, TimePredicate: chronon.MaskIntersects,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +253,9 @@ func TestJoinMatchesDirect(t *testing.T) {
 	}
 
 	for _, algo := range []string{"partition", "sortmerge", "nestedloop"} {
-		for _, kernel := range []string{"sweep", "scan"} {
-			q := fmt.Sprintf("scan r | join scan s using %s kernel %s", algo, kernel)
-			got := runQuery(t, cfg, cat, q)
-			equalSets(t, got, append([]tuple.Tuple(nil), want.Tuples...), q)
-		}
+		q := "scan r | join scan s using " + algo
+		got := runQuery(t, cfg, cat, q)
+		equalSets(t, got, append([]tuple.Tuple(nil), want.Tuples...), q)
 	}
 
 	// Sharded execution through the language's shards hint.
@@ -300,7 +298,7 @@ func TestJoinSubqueryInputs(t *testing.T) {
 	fs := filter(s, func(tp tuple.Tuple) bool { return tp.V.Overlaps(iv(0, 500)) })
 	var want relation.CollectSink
 	if _, _, err := join.SortMerge(fr, fs, &want, join.Config{
-		MemoryPages: 16, TimePredicate: chronon.MaskIntersects, Kernel: join.KernelSweep,
+		MemoryPages: 16, TimePredicate: chronon.MaskIntersects,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +404,7 @@ func TestComposedPipeline(t *testing.T) {
 
 	var joined relation.CollectSink
 	if _, _, err := join.SortMerge(r, s, &joined, join.Config{
-		MemoryPages: 16, TimePredicate: chronon.MaskIntersects, Kernel: join.KernelSweep,
+		MemoryPages: 16, TimePredicate: chronon.MaskIntersects,
 	}); err != nil {
 		t.Fatal(err)
 	}

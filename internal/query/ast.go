@@ -69,7 +69,6 @@ type AggregateStage struct {
 // one omitting it.
 type Hints struct {
 	Algorithm string // "partition" (default), "sortmerge", "nestedloop"
-	Kernel    string // "sweep" (default), "scan"
 	Predicate string // "intersects" (default), "contains", "containedin", "equal"
 	Shards    int    // > 1 time-shards the join
 	Memory    int    // per-join buffer pages override
@@ -207,10 +206,6 @@ func (s *JoinStage) canonStage(b *strings.Builder) {
 	if s.Hints.Algorithm != "" && s.Hints.Algorithm != "partition" {
 		b.WriteString(" using ")
 		b.WriteString(s.Hints.Algorithm)
-	}
-	if s.Hints.Kernel != "" && s.Hints.Kernel != "sweep" {
-		b.WriteString(" kernel ")
-		b.WriteString(s.Hints.Kernel)
 	}
 	if s.Hints.Predicate != "" && s.Hints.Predicate != "intersects" {
 		b.WriteString(" on ")

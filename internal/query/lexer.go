@@ -8,7 +8,7 @@
 //
 //	scan r
 //	  | select key = 3 and vt overlaps [10, 40]
-//	  | join (scan s | select active = true) using sortmerge kernel scan
+//	  | join (scan s | select active = true) using sortmerge
 //	  | diff scan revoked
 //	  | project key, name
 //	  | aggregate count

@@ -187,14 +187,14 @@ func (p *parser) stage() (Stage, error) {
 	return nil, errAt(t.line, t.col, "expected a stage (select, project, join, diff or aggregate), got %s", t.describe())
 }
 
-// hints := ('using' algo | 'kernel' k | 'on' pred | 'shards' n | 'memory' n)*
+// hints := ('using' algo | 'on' pred | 'shards' n | 'memory' n)*
 func (p *parser) hints() (Hints, error) {
 	var h Hints
 	seen := map[string]bool{}
 	for {
 		kw := p.tok.keyword()
 		switch kw {
-		case "using", "kernel", "on", "shards", "memory":
+		case "using", "on", "shards", "memory":
 		default:
 			return h, nil
 		}
@@ -217,17 +217,6 @@ func (p *parser) hints() (Hints, error) {
 				h.Algorithm = v
 			default:
 				return h, errAt(t.line, t.col, "unknown algorithm %q (want partition, sortmerge or nestedloop)", t.text)
-			}
-		case "kernel":
-			t, err := p.ident("a kernel after 'kernel'")
-			if err != nil {
-				return h, err
-			}
-			switch v := t.keyword(); v {
-			case "sweep", "scan":
-				h.Kernel = v
-			default:
-				return h, errAt(t.line, t.col, "unknown kernel %q (want sweep or scan)", t.text)
 			}
 		case "on":
 			t, err := p.ident("a time predicate after 'on'")

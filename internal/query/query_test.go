@@ -26,10 +26,10 @@ func TestNormalizeCanonicalForms(t *testing.T) {
 		{"scan r | join ( scan s | select k = 1 )",
 			"scan r | join (scan s | select k = 1)"},
 		// Hint variants: defaults elided, order fixed.
-		{"scan r | join scan s using partition kernel sweep on intersects",
+		{"scan r | join scan s using partition on intersects",
 			"scan r | join scan s"},
-		{"scan r | join scan s kernel scan using sortmerge",
-			"scan r | join scan s using sortmerge kernel scan"},
+		{"scan r | join scan s on equal using sortmerge",
+			"scan r | join scan s using sortmerge on equal"},
 		{"scan r | join scan s memory 64 shards 4 on contains",
 			"scan r | join scan s on contains shards 4 memory 64"},
 		{"scan r | diff (scan s)", "scan r | diff scan s"},
@@ -67,8 +67,8 @@ func TestNormalizeCollisions(t *testing.T) {
 			"scan r | join scan s",
 			"SCAN r | JOIN (scan s)",
 			"scan r\n  | join scan s using partition",
-			"scan r | join scan s kernel sweep",
-			"scan r | join scan s using partition kernel sweep on intersects",
+			"scan r | join scan s on intersects",
+			"scan r | join scan s using partition on intersects",
 		},
 		{
 			"scan r | select key = 3 and vt overlaps [1, 10]",
@@ -111,7 +111,6 @@ func TestParseErrors(t *testing.T) {
 		{"scan r | select vt overlaps [1 2]", "','"},
 		{"scan r | join", "expected 'scan"},
 		{"scan r | join scan s using quantum", "unknown algorithm"},
-		{"scan r | join scan s kernel turbo", "unknown kernel"},
 		{"scan r | join scan s on sometimes", "unknown time predicate"},
 		{"scan r | join scan s shards 0", "out of range"},
 		{"scan r | join scan s memory 2", "out of range"},
@@ -133,6 +132,24 @@ func TestParseErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("Parse(%q) error = %q, want substring %q", c.in, err, c.wantSub)
 		}
+	}
+}
+
+// TestKernelHintRejected: the language has no kernel hint, so a query
+// that names one fails with the parser's ordinary positioned error at
+// the word "kernel".
+func TestKernelHintRejected(t *testing.T) {
+	const q = "scan r | join scan s using sortmerge kernel scan"
+	_, err := Parse(q)
+	if err == nil {
+		t.Fatalf("Parse(%q) accepted a kernel hint", q)
+	}
+	qe, ok := err.(*Error)
+	if !ok {
+		t.Fatalf("error type %T, want *Error", err)
+	}
+	if want := strings.Index(q, "kernel") + 1; qe.Line != 1 || qe.Col != want {
+		t.Errorf("error at %d:%d, want 1:%d (%v)", qe.Line, qe.Col, want, err)
 	}
 }
 

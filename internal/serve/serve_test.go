@@ -88,7 +88,7 @@ func TestCacheNormalizationCollisions(t *testing.T) {
 		"scan r | join scan s",
 		"SCAN r | JOIN (scan s)",
 		"scan r  |  join scan s using partition",
-		"scan r | join scan s kernel sweep on intersects",
+		"scan r | join scan s using partition on intersects",
 		"scan r\n # comment\n | join scan s",
 	}
 	for _, q := range variants {
@@ -348,7 +348,7 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	const q = "scan r | join scan s using sortmerge kernel scan"
+	const q = "scan r | join scan s using sortmerge"
 	resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(q))
 	if err != nil {
 		t.Fatal(err)

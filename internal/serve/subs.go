@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -160,7 +161,7 @@ func (sub *subscription) bindRow(t tuple.Tuple) (tuple.Tuple, bool) {
 
 // handleSubscribe registers an ongoing-relation subscription: the body
 // (or "q") is a pipeline query of the form "scan A | join scan B"
-// (kernel/predicate/memory hints allowed), backed by a materialized
+// (predicate/memory hints allowed), backed by a materialized
 // incremental view charged against the shared buffer pool. The
 // response is a long-lived chunked CSV stream: the result header
 // immediately, then, for every append folded into either base
@@ -265,7 +266,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	view, err := incremental.New(r.Context(), ln.Rel, rn.Rel, incremental.Config{
 		Partitioning: parting,
 		Predicate:    jn.Mask,
-		Kernel:       jn.Kernel,
 	})
 	if err != nil {
 		s.catMu.RUnlock()
@@ -406,7 +406,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	s.wg.Add(1)
 	defer s.wg.Done()
-	ctx := r.Context()
 
 	s.catMu.Lock()
 	defer s.catMu.Unlock()
@@ -433,6 +432,11 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The rows are committed to the base relation; every view over it
+	// must now fold them whether or not the appender is still
+	// connected, or the views silently diverge from the base (and a
+	// cancelled fold closes the subscription with an abort error).
+	ctx := context.WithoutCancel(r.Context())
 	res := appendResult{Appended: int64(len(ts))}
 	for _, sub := range s.snapshotSubs() {
 		if sub.left != name && sub.right != name {

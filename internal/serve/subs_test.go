@@ -245,6 +245,41 @@ func TestSubscribeStreamsAppendDeltas(t *testing.T) {
 	}
 }
 
+// TestAppendFromDisconnectedClientStillFolds: once an append has
+// committed its rows to the base relation, every open view must fold
+// them even if the appending client has already gone away. The append
+// is served with an already-cancelled request context; the subscriber
+// must still receive exactly the rows /query gained.
+func TestAppendFromDisconnectedClientStillFolds(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	const q = "scan r | join scan s"
+
+	before := mustExecute(t, srv, q)
+	ss := openSub(t, ts.URL, "q="+url.QueryEscape(q))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/relations/r/append",
+		strings.NewReader("vs,ve,key:int,a:int\n0,500,3,9001\n100,900,7,9002\n40,60,11,9003\n")).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("append: status %d: %s", rec.Code, rec.Body)
+	}
+
+	want := subtractRows(mustExecute(t, srv, q), before)
+	if len(want) == 0 {
+		t.Fatal("test append joined nothing — keys no longer overlap the base data")
+	}
+	ss.readRows(len(want))
+	equalRowSets(t, "deltas of a disconnected appender", ss.tuples(), want)
+	if st := srv.Stats(); st.SubsOpen != 1 || st.SubsClosed != 0 {
+		t.Errorf("stats %+v, want the subscription still open", st)
+	}
+}
+
 // TestSubscribeSelfJoin folds an append into both sides of a self-join
 // view; the delta must include the new tuple's pairing with itself
 // exactly once.

@@ -12,11 +12,12 @@ import (
 	"vtjoin/internal/page"
 	"vtjoin/internal/partition"
 	"vtjoin/internal/relation"
+	"vtjoin/internal/testutil"
 	"vtjoin/internal/tuple"
 )
 
 // predicates is every supported time-predicate shape, mirroring the
-// kernel matrix in the join package.
+// codec matrix in the join package.
 var predicates = map[string]join.Predicate{
 	"intersects":   chronon.MaskIntersects,
 	"contains":     chronon.MaskContains,
@@ -29,8 +30,8 @@ var predicates = map[string]join.Predicate{
 }
 
 // TestDifferentialFullMatrix is the sharded-vs-reference property over
-// the full surface: every algorithm × kernel × predicate mask, on a
-// mixed workload and on the adversarial workload where every tuple
+// the full surface: every algorithm × matching route (chosen by the
+// keys, testutil.Route) × predicate mask, on a mixed workload and on the adversarial workload where every tuple
 // spans every shard boundary (maximal replication).
 func TestDifferentialFullMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
@@ -50,13 +51,14 @@ func TestDifferentialFullMatrix(t *testing.T) {
 
 	for _, in := range inputs {
 		for _, algo := range algorithms {
-			for _, kernel := range []join.Kernel{join.KernelSweep, join.KernelScan} {
+			for _, route := range testutil.Routes {
+				r, s := route.Keys(in.r, 0), route.Keys(in.s, 0)
 				for name, pred := range predicates {
-					t.Run(fmt.Sprintf("%s/%s/%s/%s", in.name, algo, kernel, name), func(t *testing.T) {
-						want := oracle(t, pred, in.r, in.s)
-						got, stats := runSharded(t, algo, in.r, in.s, Config{
+					t.Run(fmt.Sprintf("%s/%s/%s/%s", in.name, algo, route, name), func(t *testing.T) {
+						want := oracle(t, pred, r, s)
+						got, stats := runSharded(t, algo, r, s, Config{
 							Shards: 3, MemoryPages: 24, Seed: 77,
-							TimePredicate: pred, Kernel: kernel,
+							TimePredicate: pred,
 						})
 						assertSameResult(t, "sharded", got, want)
 						var results int64
@@ -158,15 +160,16 @@ func TestDeterministicOrdering(t *testing.T) {
 func TestPerShardIOMatchesComposedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	w := workload{keys: 8, n: 400, longEvery: 5, lifespan: 9000}
-	rTuples := w.generate(rng, 1)
-	sTuples := w.generate(rng, 2)
+	rDense := w.generate(rng, 1)
+	sDense := w.generate(rng, 2)
 
 	for _, algo := range algorithms {
-		for _, kernel := range []join.Kernel{join.KernelSweep, join.KernelScan} {
-			t.Run(fmt.Sprintf("%s/%s", algo, kernel), func(t *testing.T) {
+		for _, route := range testutil.Routes {
+			rTuples, sTuples := route.Keys(rDense, 0), route.Keys(sDense, 0)
+			t.Run(fmt.Sprintf("%s/%s", algo, route), func(t *testing.T) {
 				cfg := Config{
 					Shards: 3, MemoryPages: 30, Seed: 101,
-					Kernel: kernel, Sequential: true,
+					Sequential: true,
 				}
 				_, stats := runSharded(t, algo, rTuples, sTuples, cfg)
 				k := stats.Shards
@@ -199,17 +202,17 @@ func TestPerShardIOMatchesComposedReference(t *testing.T) {
 					switch algo {
 					case join.AlgorithmNestedLoop:
 						_, err = join.NestedLoop(r, s, bs, join.Config{
-							MemoryPages: perShard, Sequential: true, Kernel: kernel,
+							MemoryPages: perShard, Sequential: true,
 						})
 					case join.AlgorithmSortMerge:
 						_, _, err = join.SortMerge(r, s, bs, join.Config{
-							MemoryPages: perShard, Sequential: true, Kernel: kernel,
+							MemoryPages: perShard, Sequential: true,
 						})
 					case join.AlgorithmPartition:
 						local := stats.LocalParts[j]
 						_, _, err = join.Partition(r, s, bs, join.Config{
 							MemoryPages: perShard, Weights: cost.Ratio(5),
-							Partitioning: &local, Sequential: true, Kernel: kernel,
+							Partitioning: &local, Sequential: true,
 						})
 					}
 					if err != nil {

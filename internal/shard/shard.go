@@ -75,8 +75,6 @@ type Config struct {
 	// TimePredicate restricts matches to pairs whose intervals satisfy
 	// the mask (zero: intersection, the valid-time natural join).
 	TimePredicate join.Predicate
-	// Kernel selects the in-memory matching kernel for every pipeline.
-	Kernel join.Kernel
 	// Sequential disables all intra- and inter-shard concurrency: the
 	// pipelines run inline, one after the other, with their own
 	// concurrency disabled too. Results and counters are identical to a
@@ -347,7 +345,7 @@ func runShard(algo join.Algorithm, j int, r, s, res *relation.Relation, dev *dis
 	_, err := join.Run(algo, r, s, bs, join.Config{
 		Ctx: cfg.Ctx, MemoryPages: memory, Weights: cfg.Weights,
 		Partitioning: local, TimePredicate: cfg.TimePredicate,
-		Sequential: cfg.Sequential, Kernel: cfg.Kernel, Tracer: shtr,
+		Sequential: cfg.Sequential, Tracer: shtr,
 	})
 	span, auditErr := shtr.Finish()
 	spans[j] = span

@@ -96,37 +96,6 @@ func (p Predicate) mask() (chronon.Mask, error) {
 	return 0, fmt.Errorf("vtjoin: unknown predicate %d", p)
 }
 
-// Kernel selects the in-memory matching kernel every algorithm uses to
-// join tuples once they are resident. Results and I/O counters are
-// identical across kernels; only CPU time differs.
-type Kernel int
-
-// The available kernels.
-const (
-	// KernelAuto picks the sweep kernel.
-	KernelAuto Kernel = iota
-	// KernelSweep matches batches by an endpoint-sorted forward plane
-	// sweep with gapless active-tuple lists per join-key bucket (after
-	// Piatov et al., "Cache-Efficient Sweeping-Based Interval Joins").
-	KernelSweep
-	// KernelScan probes tuple by tuple against a hash index of the
-	// resident batch — the baseline the sweep kernel is measured
-	// against.
-	KernelScan
-)
-
-// String names the kernel.
-func (k Kernel) String() string { return k.internal().String() }
-
-func (k Kernel) internal() join.Kernel {
-	switch k {
-	case KernelScan:
-		return join.KernelScan
-	default:
-		return join.KernelSweep
-	}
-}
-
 // JoinType selects inner or outer join semantics.
 type JoinType int
 
@@ -182,10 +151,6 @@ type Options struct {
 	RandomCost float64
 	// Seed drives the partition join's sampling (default 1).
 	Seed int64
-	// Kernel selects the in-memory matching kernel (default: sweep).
-	// Join results and every I/O counter are identical across kernels;
-	// the knob exists for benchmarking and differential testing.
-	Kernel Kernel
 	// Shards, when > 1, time-shards the execution: the valid-time line
 	// is split into Shards slices along planned partition boundaries,
 	// each slice's full pipeline runs against a private in-memory
@@ -200,7 +165,7 @@ type Options struct {
 	// Trace collects a hierarchical execution trace of the run — per
 	// phase (and per partition / block / merge pass) spans carrying
 	// exact I/O counter deltas, wall and CPU time, the planner's
-	// candidate cost curve and kernel decisions. Retrieve it from
+	// candidate cost curve and matching-route decisions. Retrieve it from
 	// Result.Trace (Join); JoinInto honors the flag but discards the
 	// spans. Tracing changes neither join results nor I/O counters.
 	Trace bool
@@ -415,7 +380,6 @@ func dispatch(ctx context.Context, o Options, r, s *Relation, sink relation.Sink
 			Weights:       cost.Ratio(o.RandomCost),
 			Seed:          o.Seed,
 			TimePredicate: mask,
-			Kernel:        o.Kernel.internal(),
 			Tracer:        tr,
 		})
 		return rep, err
@@ -433,7 +397,6 @@ func dispatch(ctx context.Context, o Options, r, s *Relation, sink relation.Sink
 			TimePredicate: mask,
 			LeftFragments: frags,
 			Plan:          plan,
-			Kernel:        o.Kernel.internal(),
 			Tracer:        tr,
 		})
 	}

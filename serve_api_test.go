@@ -2,8 +2,9 @@ package vtjoin
 
 // Acceptance test for the query service: results served over the
 // vtserve HTTP surface must be identical to the public JoinContext API
-// across every algorithm × kernel combination — the language, planner,
-// executor and server must not change join semantics.
+// across every algorithm × matching route (chosen by the join keys,
+// testutil.Route) — the language, planner, executor and server must not
+// change join semantics.
 
 import (
 	"context"
@@ -17,21 +18,25 @@ import (
 
 	"vtjoin/internal/csvio"
 	"vtjoin/internal/serve"
+	"vtjoin/internal/testutil"
 )
 
-// buildServePair loads two relations sharing only the "key" column.
-func buildServePair(t *testing.T, db *DB) (*Relation, *Relation) {
+// buildServePair loads two relations sharing only the "key" column,
+// keyed for the given matching route.
+func buildServePair(t *testing.T, db *DB, route testutil.Route) (*Relation, *Relation) {
 	t.Helper()
 	gen := func(payload string, seed int64) *Relation {
-		rel := db.MustCreateRelation(NewSchema(Col("key", KindInt), Col(payload, KindInt)))
-		l := rel.Loader()
 		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 250; i++ {
+		ts := make([]Tuple, 250)
+		for i := range ts {
 			start := rng.Int63n(900)
-			l.MustAppend(Span(Chronon(start), Chronon(start+1+rng.Int63n(120))),
+			ts[i] = NewTuple(Span(Chronon(start), Chronon(start+1+rng.Int63n(120))),
 				Int(rng.Int63n(30)), Int(int64(i)))
 		}
-		l.MustClose()
+		rel, err := db.Load(NewSchema(Col("key", KindInt), Col(payload, KindInt)), route.Keys(ts, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
 		return rel
 	}
 	return gen("a", 41), gen("b", 42)
@@ -39,14 +44,18 @@ func buildServePair(t *testing.T, db *DB) (*Relation, *Relation) {
 
 func TestServedResultsMatchJoinContext(t *testing.T) {
 	db := Open()
-	r, s := buildServePair(t, db)
-
 	srv, err := serve.NewServer(serve.Config{Disk: db.d})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Catalog().Register("r", r.internal())
-	srv.Catalog().Register("s", s.internal())
+	// Each route's pair is served as r_<route> and s_<route>.
+	pairs := map[testutil.Route][2]*Relation{}
+	for _, route := range testutil.Routes {
+		r, s := buildServePair(t, db, route)
+		srv.Catalog().Register("r_"+string(route), r.internal())
+		srv.Catalog().Register("s_"+string(route), s.internal())
+		pairs[route] = [2]*Relation{r, s}
+	}
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
@@ -58,19 +67,12 @@ func TestServedResultsMatchJoinContext(t *testing.T) {
 		{"sortmerge", AlgorithmSortMerge},
 		{"nestedloop", AlgorithmNestedLoop},
 	}
-	kernels := []struct {
-		name   string
-		kernel Kernel
-	}{
-		{"sweep", KernelSweep},
-		{"scan", KernelScan},
-	}
 	for _, a := range algos {
-		for _, k := range kernels {
-			t.Run(a.name+"/"+k.name, func(t *testing.T) {
-				res, err := JoinContext(context.Background(), r, s, Options{
+		for _, route := range testutil.Routes {
+			p := pairs[route]
+			t.Run(a.name+"/"+string(route), func(t *testing.T) {
+				res, err := JoinContext(context.Background(), p[0], p[1], Options{
 					Algorithm:   a.algo,
-					Kernel:      k.kernel,
 					MemoryPages: 32,
 				})
 				if err != nil {
@@ -84,7 +86,7 @@ func TestServedResultsMatchJoinContext(t *testing.T) {
 					t.Fatal("direct join is empty; fixture does not exercise the join")
 				}
 
-				q := fmt.Sprintf("scan r | join scan s using %s kernel %s memory 32", a.name, k.name)
+				q := fmt.Sprintf("scan r_%s | join scan s_%s using %s memory 32", route, route, a.name)
 				resp, err := http.Post(hs.URL+"/query", "text/plain", strings.NewReader(q))
 				if err != nil {
 					t.Fatal(err)

@@ -5,13 +5,16 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"vtjoin/internal/testutil"
 )
 
 // The view maintains the partition join incrementally; the batch
 // evaluators recompute it from scratch. Their results must coincide at
 // every prefix of every append interleaving, for every algorithm and
-// kernel — the batch engines referee the incremental one, and each
-// other.
+// both matching routes of the kernel (chosen by the join keys,
+// testutil.Route) — the batch engines referee the incremental one, and
+// each other.
 
 func randViewTuple(rng *rand.Rand, id int64) Tuple {
 	start := rng.Int63n(950)
@@ -43,7 +46,7 @@ func batchJoin(t *testing.T, db *DB, lsch, rsch *Schema, lt, rt []Tuple, opts Op
 	}
 	res, err := Join(lr, rr, opts)
 	if err != nil {
-		t.Fatalf("%v/%v: %v", opts.Algorithm, opts.Kernel, err)
+		t.Fatalf("%v: %v", opts.Algorithm, err)
 	}
 	if res.Algorithm != opts.Algorithm {
 		t.Fatalf("asked for %v, ran %v", opts.Algorithm, res.Algorithm)
@@ -57,16 +60,15 @@ func batchJoin(t *testing.T, db *DB, lsch, rsch *Schema, lt, rt []Tuple, opts Op
 
 func TestViewDifferentialAcrossAlgorithmsAndKernels(t *testing.T) {
 	algorithms := []Algorithm{AlgorithmPartition, AlgorithmSortMerge, AlgorithmNestedLoop}
-	kernels := []Kernel{KernelSweep, KernelScan}
 	predicates := []Predicate{
 		PredicateIntersects, PredicateContains, PredicateContainedIn, PredicateEqualIntervals,
 	}
 	combo := 0
 	for _, algo := range algorithms {
-		for _, kernel := range kernels {
+		for _, route := range testutil.Routes {
 			pred := predicates[combo%len(predicates)]
 			combo++
-			t.Run(fmt.Sprintf("%v/%v/%v", algo, kernel, pred), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%v/%v/%v", algo, route, pred), func(t *testing.T) {
 				db := Open()
 				lsch := NewSchema(Col("k", KindInt), Col("a", KindInt))
 				rsch := NewSchema(Col("k", KindInt), Col("b", KindInt))
@@ -76,6 +78,7 @@ func TestViewDifferentialAcrossAlgorithmsAndKernels(t *testing.T) {
 					lt = append(lt, randViewTuple(rng, int64(i)))
 					rt = append(rt, randViewTuple(rng, int64(1000+i)))
 				}
+				lt, rt = route.Keys(lt, 0), route.Keys(rt, 0)
 				lr, err := db.Load(lsch, lt)
 				if err != nil {
 					t.Fatal(err)
@@ -85,13 +88,13 @@ func TestViewDifferentialAcrossAlgorithmsAndKernels(t *testing.T) {
 					t.Fatal(err)
 				}
 				v, err := NewView(lr, rr, ViewOptions{
-					Partitions: 5, Predicate: pred, Kernel: kernel,
+					Partitions: 5, Predicate: pred,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer v.Close()
-				opts := Options{Algorithm: algo, Kernel: kernel, Predicate: pred, MemoryPages: 64}
+				opts := Options{Algorithm: algo, Predicate: pred, MemoryPages: 64}
 
 				check := func(step int) {
 					t.Helper()
@@ -115,11 +118,13 @@ func TestViewDifferentialAcrossAlgorithmsAndKernels(t *testing.T) {
 				for i := 0; i < 20; i++ {
 					tp := randViewTuple(rng, int64(5000+i))
 					if rng.Intn(2) == 0 {
+						tp = route.Key(tp, 0, len(lt))
 						if err := v.InsertLeft(tp); err != nil {
 							t.Fatal(err)
 						}
 						lt = append(lt, tp)
 					} else {
+						tp = route.Key(tp, 0, len(rt))
 						if err := v.InsertRight(tp); err != nil {
 							t.Fatal(err)
 						}
